@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 
 use dakc_io::ReadSet;
 use dakc_kmer::{kmers_of_read, CanonicalMode, KmerCount, KmerWord};
-use dakc_sort::{accumulate, hybrid_sort, quicksort, RadixKey};
+use dakc_sort::{accumulate, hybrid_sort_from, quicksort, RadixKey};
 
 /// Result of a serial run.
 #[derive(Debug, Clone)]
@@ -34,7 +34,9 @@ pub fn count_kmers_serial<W: KmerWord + RadixKey>(
     if use_quicksort {
         quicksort(&mut t);
     } else {
-        hybrid_sort(&mut t);
+        // Start at the top byte inside the 2k-bit window: every byte above
+        // it is zero, and a histogram pass per such byte finds only that.
+        hybrid_sort_from(&mut t, (2 * k - 1) / 8);
     }
     let counts = accumulate(&t)
         .into_iter()

@@ -80,49 +80,54 @@ impl Actor {
     /// Queues one packet for `dst`; drains to the conveyor when `C1`
     /// packets are staged.
     pub fn send<F: Fabric>(&mut self, ctx: &mut F, dst: PeId, channel: u8, payload: &[u8]) {
-        self.send_flow(ctx, dst, channel, payload, None);
+        self.send_with(ctx, dst, channel, None, |arena| arena.extend_from_slice(payload));
     }
 
-    /// Like [`Actor::send`], but attaches a causal flow tag that rides out
-    /// of band through the conveyor to the remote drain.
-    pub fn send_flow<F: Fabric>(
+    /// Like [`Actor::send`], but the caller writes the payload — the bytes
+    /// `encode` appends to the L1 arena are the packet, so a packet
+    /// assembled from words is copied once, not built and then copied —
+    /// and may attach a causal flow tag, which rides out of band through
+    /// the conveyor to the remote drain.
+    pub fn send_with<F: Fabric>(
         &mut self,
         ctx: &mut F,
         dst: PeId,
         channel: u8,
-        payload: &[u8],
         flow: Option<FlowTag>,
+        encode: impl FnOnce(&mut Vec<u8>),
     ) {
         let start = self.arena.len();
-        self.arena.extend_from_slice(payload);
+        encode(&mut self.arena);
+        let len = self.arena.len() - start;
         self.staged.push(Staged {
             dst,
             channel,
             start,
-            len: payload.len(),
+            len,
             flow,
         });
         // Staging cost: copy into the L1 arena plus bookkeeping.
-        ctx.charge_ops(payload.len() as u64 / 8 + STAGE_ITEM_OPS);
+        ctx.charge_ops(len as u64 / 8 + STAGE_ITEM_OPS);
         if self.staged.len() >= self.cfg.c1_packets {
             self.drain_l1(ctx);
         }
     }
 
-    /// Moves all staged packets into the conveyor's L0 buffers.
+    /// Moves all staged packets into the conveyor's L0 buffers. The arena
+    /// and the staging list keep their allocations for the next round.
     fn drain_l1<F: Fabric>(&mut self, ctx: &mut F) {
-        let mut staged = std::mem::take(&mut self.staged);
-        let arena = std::mem::take(&mut self.arena);
-        let packets = staged.len() as u32;
+        let packets = self.staged.len() as u32;
         ctx.trace(|| EventKind::L1Drain { packets });
         let now = ctx.now();
-        for s in &mut staged {
+        for s in &mut self.staged {
             if let Some(tag) = &mut s.flow {
                 tag.t_l1_drain = now;
             }
             self.conveyor
-                .push_flow(ctx, s.dst, s.channel, &arena[s.start..s.start + s.len], s.flow);
+                .push_flow(ctx, s.dst, s.channel, &self.arena[s.start..s.start + s.len], s.flow);
         }
+        self.staged.clear();
+        self.arena.clear();
     }
 
     /// Polls and processes arrivals (delivery + relaying), exactly like

@@ -20,6 +20,7 @@
 //! L2 layer amortizes by packing many k-mers into one record.
 
 use dakc_sim::telemetry::metrics::{BYTES_BOUNDS, HOPS_BOUNDS, LATENCY_BOUNDS, PCT_BOUNDS};
+use dakc_sim::telemetry::Histogram;
 use dakc_sim::{EventKind, FlowTag, Msg, PeId};
 
 use crate::fabric::Fabric;
@@ -163,14 +164,19 @@ pub struct Conveyor {
     me: PeId,
     topo: Topology,
     cfg: ConveyorConfig,
-    /// L0 send buffer per direct neighbor, lazily materialized.
-    out: std::collections::HashMap<PeId, OutBuf>,
+    /// L0 send buffer per next hop, indexed by `PeId`. A buffer owns no
+    /// heap memory until its first record.
+    out: Vec<OutBuf>,
     draining: bool,
     stats: ConvStats,
     /// Per-record hop tallies (index = hops to final destination),
     /// accumulated locally so the hot push path stays a single array
     /// increment; folded into the metrics registry at drain time.
     hop_counts: [u64; 8],
+    /// `l0.put_fill_pct` and `l0.put_bytes`, tallied per `PUT` and folded
+    /// with the hop tallies.
+    put_fill: Histogram,
+    put_bytes: Histogram,
 }
 
 impl Conveyor {
@@ -192,10 +198,12 @@ impl Conveyor {
             me,
             topo,
             cfg,
-            out: std::collections::HashMap::new(),
+            out: std::iter::repeat_with(OutBuf::default).take(ctx.num_pes()).collect(),
             draining: false,
             stats: ConvStats::default(),
             hop_counts: [0; 8],
+            put_fill: Histogram::with_bounds(PCT_BOUNDS),
+            put_bytes: Histogram::with_bounds(BYTES_BOUNDS),
         };
         ctx.mem_alloc(conv.configured_buffer_bytes());
         conv
@@ -278,7 +286,7 @@ impl Conveyor {
         // Buffer append cost: copy plus per-item bookkeeping.
         ctx.charge_ops(rec_len as u64 / 8 + PUSH_ITEM_OPS);
 
-        let buf = self.out.entry(hop).or_default();
+        let buf = &mut self.out[hop];
         if hdr > 0 {
             buf.bytes.extend_from_slice(&(final_dst as u32).to_le_bytes());
         }
@@ -292,7 +300,13 @@ impl Conveyor {
         }
         buf.records += 1;
         if buf.bytes.len() >= self.cfg.c0_bytes {
-            let full = self.out.remove(&hop).expect("just filled");
+            // A buffer that filled will fill again: its successor starts
+            // at the size this one reached instead of regrowing to it.
+            let next = OutBuf {
+                bytes: Vec::with_capacity(buf.bytes.len()),
+                ..OutBuf::default()
+            };
+            let full = std::mem::replace(buf, next);
             self.stats.puts += 1;
             self.ship(ctx, hop, full);
         }
@@ -311,10 +325,10 @@ impl Conveyor {
     }
 
     /// Telemetry for one `PUT`: fill/size histograms and a trace event.
-    fn record_put<F: Fabric>(&self, ctx: &mut F, hop: PeId, bytes: usize) {
+    fn record_put<F: Fabric>(&mut self, ctx: &mut F, hop: PeId, bytes: usize) {
         let fill_pct = ((bytes as u64 * 100) / self.cfg.c0_bytes.max(1) as u64).min(100) as u8;
-        ctx.metrics().observe("l0.put_fill_pct", PCT_BOUNDS, fill_pct as f64);
-        ctx.metrics().observe("l0.put_bytes", BYTES_BOUNDS, bytes as f64);
+        self.put_fill.observe(fill_pct as f64);
+        self.put_bytes.observe(bytes as f64);
         ctx.trace(|| EventKind::PutFlush {
             hop: hop as u32,
             bytes: bytes as u32,
@@ -331,17 +345,16 @@ impl Conveyor {
     /// the next-hop buffer is filtered record by record.
     pub fn purge_dest<F: Fabric>(&mut self, ctx: &mut F, dst: PeId) -> u64 {
         let hop = if dst == self.me { self.me } else { self.topo.next_hop(self.me, dst) };
-        let Some(buf) = self.out.remove(&hop) else {
+        let buf = std::mem::take(&mut self.out[hop]);
+        if buf.records == 0 {
             return 0;
-        };
+        }
         let dropped = if self.header_bytes() == 0 {
             // 1D: one buffer per final destination — drop it whole.
             buf.records as u64
         } else {
             let (kept, dropped) = self.filter_buffer(buf, dst);
-            if kept.records > 0 {
-                self.out.insert(hop, kept);
-            }
+            self.out[hop] = kept;
             dropped
         };
         ctx.charge_ops(dropped);
@@ -463,8 +476,7 @@ impl Conveyor {
                 deliver(msg.src, channel, payload);
             } else {
                 self.stats.items_forwarded += 1;
-                let payload = payload.to_vec();
-                self.enqueue(ctx, final_dst, channel, &payload, flow);
+                self.enqueue(ctx, final_dst, channel, payload, flow);
             }
         }
     }
@@ -515,19 +527,15 @@ impl Conveyor {
 
     /// Ships every nonempty buffer immediately, regardless of fill.
     pub fn flush_all<F: Fabric>(&mut self, ctx: &mut F) {
-        // Deterministic flush order.
-        let mut hops: Vec<PeId> = self
-            .out
-            .iter()
-            .filter(|(_, b)| !b.bytes.is_empty())
-            .map(|(&h, _)| h)
-            .collect();
-        hops.sort_unstable();
-        for hop in hops {
-            // Remove (not just clear) so idle buffers return their memory:
+        // Ascending hop order, so the flush is deterministic.
+        for hop in 0..self.out.len() {
+            if self.out[hop].bytes.is_empty() {
+                continue;
+            }
+            // Take (not just clear) so idle buffers return their memory:
             // at 6K PEs the all-connected protocol would otherwise pin
-            // O(P) empty vectors per PE on the host.
-            let buf = self.out.remove(&hop).expect("listed");
+            // O(P) send buffers per PE on the host.
+            let buf = std::mem::take(&mut self.out[hop]);
             self.stats.puts += 1;
             self.ship(ctx, hop, buf);
         }
@@ -538,18 +546,20 @@ impl Conveyor {
     /// records so the global quiescent barrier can complete.
     pub fn begin_drain<F: Fabric>(&mut self, ctx: &mut F) {
         self.draining = true;
-        self.fold_hop_metrics(ctx);
+        self.fold_metrics(ctx);
         self.flush_all(ctx);
     }
 
-    /// Folds the locally accumulated hop tallies into the run's metrics
-    /// registry and resets them.
-    fn fold_hop_metrics<F: Fabric>(&mut self, ctx: &mut F) {
+    /// Folds the locally accumulated hop and `PUT` tallies into the run's
+    /// metrics registry and resets them.
+    fn fold_metrics<F: Fabric>(&mut self, ctx: &mut F) {
         for (hops, n) in self.hop_counts.iter_mut().enumerate() {
             ctx.metrics()
                 .observe_n("conv.record_hops", HOPS_BOUNDS, hops as f64, *n);
             *n = 0;
         }
+        ctx.metrics().fold_histogram("l0.put_fill_pct", &mut self.put_fill);
+        ctx.metrics().fold_histogram("l0.put_bytes", &mut self.put_bytes);
     }
 
     /// `true` once `begin_drain` was called.
@@ -560,7 +570,7 @@ impl Conveyor {
     /// Releases the configured buffer memory (call when the communication
     /// epoch ends and the buffers are handed back).
     pub fn release<F: Fabric>(&mut self, ctx: &mut F) {
-        self.fold_hop_metrics(ctx);
+        self.fold_metrics(ctx);
         ctx.mem_free(self.configured_buffer_bytes());
     }
 }

@@ -14,11 +14,12 @@
 //! into a [`ReceiveStore`]: plain k-mers and pre-accumulated pairs, which
 //! phase 2 sorts and merges.
 
-use std::collections::HashMap;
-
 use dakc_conveyors::{Actor, ActorConfig, ConvStats, ConveyorConfig, Fabric};
-use dakc_kmer::{owner_pe, pack_span, packed_span_bytes, unpack_spans, KmerWord, SpanDecodeError};
+use dakc_kmer::{
+    owner_pe, pack_span, packed_span_bytes, unpack_spans, CanonicalMode, KmerWord, SpanDecodeError,
+};
 use dakc_sim::telemetry::metrics::PCT_BOUNDS;
+use dakc_sim::telemetry::Histogram;
 use dakc_sim::{EventKind, FlowSampler, FlowTag, PeId};
 use dakc_sort::{accumulate, hybrid_sort, RadixKey};
 
@@ -157,6 +158,79 @@ pub struct AggStats {
     pub span_bases_saved: u64,
 }
 
+/// A payload that failed to decode on arrival. The first one latches in
+/// the [`Aggregator`] and the engines surface it as a typed wire error
+/// instead of a panic.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DecodeError {
+    /// A SUPER payload's span stream is malformed.
+    Span(SpanDecodeError),
+    /// The record names a channel [`decode_packet`] does not decode.
+    UnknownChannel {
+        /// The channel id found.
+        channel: u8,
+    },
+    /// A NORMAL or HEAVY payload is not a whole number of records, or a
+    /// SINGLE payload not exactly one.
+    RaggedPayload {
+        /// The channel the payload arrived on.
+        channel: u8,
+        /// Payload bytes received.
+        len: usize,
+        /// Bytes one record of that channel takes.
+        record: usize,
+    },
+}
+
+impl std::fmt::Display for DecodeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::Span(e) => write!(f, "super-k-mer span: {e}"),
+            Self::UnknownChannel { channel } => write!(f, "packet on unknown channel {channel}"),
+            Self::RaggedPayload { channel, len, record } => write!(
+                f,
+                "channel {channel} payload of {len} bytes is not made of {record}-byte records"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for DecodeError {}
+
+impl From<SpanDecodeError> for DecodeError {
+    fn from(e: SpanDecodeError) -> Self {
+        Self::Span(e)
+    }
+}
+
+/// One channel's L2 state per destination, indexed by `PeId`.
+#[derive(Debug)]
+struct Lanes<T> {
+    /// The packet buffer per destination. A destination never written to
+    /// owns no heap memory; one that is reserves a packet's worth on its
+    /// first record and keeps it across ships. No entries at all when
+    /// the channel is unused in this configuration.
+    bufs: Vec<Vec<T>>,
+    /// The open flow per destination buffer (sampled opens only). No
+    /// entries unless flow sampling is on.
+    flows: Vec<Option<FlowTag>>,
+}
+
+impl<T> Lanes<T> {
+    fn new(used: bool, sampled: bool, num_pes: usize) -> Self {
+        let n = if used { num_pes } else { 0 };
+        Self {
+            bufs: std::iter::repeat_with(Vec::new).take(n).collect(),
+            flows: vec![None; if sampled { n } else { 0 }],
+        }
+    }
+
+    /// Closes `dst`'s open flow, if it has one.
+    fn take_flow(&mut self, dst: PeId) -> Option<FlowTag> {
+        self.flows.get_mut(dst).and_then(Option::take)
+    }
+}
+
 /// The per-PE sender-side aggregation state.
 #[derive(Debug)]
 pub struct Aggregator<W> {
@@ -165,25 +239,24 @@ pub struct Aggregator<W> {
     num_pes: usize,
     actor: Actor,
     l3: Vec<W>,
-    l2n: HashMap<PeId, Vec<W>>,
-    l2h: HashMap<PeId, Vec<(W, u32)>>,
-    /// Per-destination encoded span buffers (L2.5, `--superkmer`): packed
-    /// wire records accumulate here until the packet budget fills.
-    l2s: HashMap<PeId, Vec<u8>>,
+    /// NORMAL packets in the making.
+    normal: Lanes<W>,
+    /// HEAVY packets in the making.
+    heavy: Lanes<(W, u32)>,
+    /// SUPER packets in the making (L2.5, `--superkmer`): packed wire
+    /// records accumulate until the packet budget fills.
+    spans: Lanes<u8>,
     stats: AggStats,
     word_bytes: usize,
     /// Deterministic 1-in-N flow sampler (disabled unless
     /// [`DakcConfig::trace_sample`] is set).
     sampler: FlowSampler,
-    /// Open flow per NORMAL L2 destination buffer (sampled opens only).
-    fl2n: HashMap<PeId, FlowTag>,
-    /// Open flow per HEAVY L2 destination buffer (sampled opens only).
-    fl2h: HashMap<PeId, FlowTag>,
-    /// Open flow per SUPER span destination buffer (sampled opens only).
-    fl2s: HashMap<PeId, FlowTag>,
-    /// First span-decode failure observed while servicing arrivals; the
+    /// `l2.packet_fill_pct`, tallied per shipped packet and folded into
+    /// the run's registry by [`Aggregator::release`].
+    fill: Histogram,
+    /// First decode failure observed while servicing arrivals; the
     /// engines surface it as a typed wire error instead of a panic.
-    decode_err: Option<SpanDecodeError>,
+    decode_err: Option<DecodeError>,
     /// Virtual time the current L3 batch opened (first k-mer pushed);
     /// flows opened while it accumulates inherit it as their `t_open`.
     l3_open: Option<f64>,
@@ -207,23 +280,22 @@ impl<W: KmerWord + RadixKey> Aggregator<W> {
         ctx.mem_alloc(cfg.app_layer_bytes::<W>(num_pes));
         let word_bytes = cfg.kmer_bytes::<W>();
         let sampler = FlowSampler::new(ctx.pe() as u32, cfg.trace_sample);
+        let sampled = sampler.enabled();
         Self {
-            cfg,
             me: ctx.pe(),
             num_pes,
             actor,
             l3: Vec::new(),
-            l2n: HashMap::new(),
-            l2h: HashMap::new(),
-            l2s: HashMap::new(),
+            normal: Lanes::new(cfg.enable_l2, sampled, num_pes),
+            heavy: Lanes::new(cfg.enable_l3, sampled, num_pes),
+            spans: Lanes::new(cfg.superkmer, sampled, num_pes),
             stats: AggStats::default(),
             word_bytes,
             sampler,
-            fl2n: HashMap::new(),
-            fl2h: HashMap::new(),
-            fl2s: HashMap::new(),
+            fill: Histogram::with_bounds(PCT_BOUNDS),
             decode_err: None,
             l3_open: None,
+            cfg,
         }
     }
 
@@ -238,6 +310,7 @@ impl<W: KmerWord + RadixKey> Aggregator<W> {
     }
 
     /// Algorithm 3's `AsyncAdd`: route one parsed k-mer toward its owner.
+    #[inline]
     pub fn async_add<F: Fabric>(&mut self, ctx: &mut F, kmer: W) {
         self.stats.kmers_added += 1;
         if self.cfg.enable_l3 {
@@ -254,6 +327,14 @@ impl<W: KmerWord + RadixKey> Aggregator<W> {
         }
     }
 
+    /// [`Aggregator::async_add`] for every k-mer of `kmers`, in order:
+    /// what a Parse loop calls with the words it extracted from a read.
+    pub fn async_add_batch<F: Fabric>(&mut self, ctx: &mut F, kmers: &[W]) {
+        for &kmer in kmers {
+            self.async_add(ctx, kmer);
+        }
+    }
+
     /// L2.5 `AsyncAdd`: route one super-k-mer span toward the owner of
     /// its minimizer. Every k-mer the span carries belongs to that owner
     /// (the minimizer is a pure function of k-mer content), so the owner
@@ -264,54 +345,27 @@ impl<W: KmerWord + RadixKey> Aggregator<W> {
     pub fn async_add_span<F: Fabric>(&mut self, ctx: &mut F, minimizer: u64, span: &[u8]) {
         debug_assert!(self.cfg.superkmer);
         let kmers = (span.len() + 1 - self.cfg.k) as u64;
-        let saved = kmers * self.cfg.k as u64 - span.len() as u64;
         self.stats.kmers_added += kmers;
         self.stats.spans_shipped += 1;
-        self.stats.span_bases_saved += saved;
-        ctx.metrics().inc("net.superkmer.spans", 1);
-        ctx.metrics().inc("net.superkmer.bases_saved", saved);
+        self.stats.span_bases_saved += kmers * self.cfg.k as u64 - span.len() as u64;
         let dst = owner_pe(minimizer, self.num_pes);
         let budget = self.cfg.super_payload::<W>();
         let record = packed_span_bytes(span.len());
-        if self.l2s.get(&dst).is_some_and(|buf| buf.len() + record > budget) {
+        if self.spans.bufs[dst].len() + record > budget {
             self.ship_super(ctx, dst);
         }
-        if self.sampler.enabled() && !self.l2s.contains_key(&dst) {
+        if self.spans.bufs[dst].is_empty() {
+            self.spans.bufs[dst].reserve_exact(budget);
             if let Some(tag) = self.open_flow(ctx, CH_SUPER) {
-                self.fl2s.insert(dst, tag);
+                self.spans.flows[dst] = Some(tag);
             }
         }
-        let buf = self.l2s.entry(dst).or_default();
+        let buf = &mut self.spans.bufs[dst];
         pack_span(buf, span);
         ctx.charge_ops(span.len() as u64 / 8 + 1);
         if buf.len() >= budget {
             self.ship_super(ctx, dst);
         }
-    }
-
-    /// Encodes and sends one SUPER span packet for `dst`.
-    fn ship_super<F: Fabric>(&mut self, ctx: &mut F, dst: PeId) {
-        let Some(payload) = self.l2s.remove(&dst) else {
-            return;
-        };
-        if payload.is_empty() {
-            return;
-        }
-        ctx.charge_ops(payload.len() as u64 / 8 + 1);
-        self.stats.super_packets += 1;
-        self.stats.span_wire_bytes += payload.len() as u64;
-        let budget = self.cfg.super_payload::<W>().max(1);
-        let fill_pct = ((payload.len() * 100) / budget).min(100) as u8;
-        ctx.metrics().observe("l2.packet_fill_pct", PCT_BOUNDS, fill_pct as f64);
-        ctx.metrics().inc("net.superkmer.bytes_sent", payload.len() as u64);
-        ctx.trace(|| EventKind::L2Ship {
-            dst: dst as u32,
-            records: payload.len() as u32,
-            fill_pct,
-            heavy: false,
-        });
-        let flow = Self::stamp_ship(ctx, self.fl2s.remove(&dst), dst);
-        self.actor.send_flow(ctx, dst, CH_SUPER, &payload, flow);
     }
 
     /// Sorts and accumulates the L3 buffer, then forwards the results
@@ -342,6 +396,9 @@ impl<W: KmerWord + RadixKey> Aggregator<W> {
             self.add_to_l2(ctx, kmer, count);
         }
         self.l3_open = None;
+        // The next batch fills the same allocation.
+        buf.clear();
+        self.l3 = buf;
     }
 
     /// Flow-open hook for one L2 packet-buffer open (empty → nonempty):
@@ -361,45 +418,51 @@ impl<W: KmerWord + RadixKey> Aggregator<W> {
 
     /// `AddToL2Buffer`: pack toward the owner, splitting heavy hitters
     /// onto the HEAVY channel.
+    #[inline]
     fn add_to_l2<F: Fabric>(&mut self, ctx: &mut F, kmer: W, count: u32) {
         let dst = owner_pe(kmer, self.num_pes);
         if !self.cfg.enable_l2 {
             // L0–L1 mode: one k-mer per packet, `count` times.
             debug_assert_eq!(count, 1, "without L3 every add carries count 1");
+            let word_bytes = self.word_bytes;
             for _ in 0..count {
-                let wire = self.encode_word(kmer);
                 self.stats.single_packets += 1;
                 // A SINGLE packet opens and ships in the same instant, so
                 // its L3/L2 stages are zero-width.
                 let opened = self.open_flow(ctx, CH_SINGLE);
                 let flow = Self::stamp_ship(ctx, opened, dst);
-                self.actor.send_flow(ctx, dst, CH_SINGLE, &wire, flow);
+                self.actor.send_with(ctx, dst, CH_SINGLE, flow, |arena| {
+                    arena.extend_from_slice(&kmer.to_u128().to_le_bytes()[..word_bytes])
+                });
             }
             return;
         }
         if self.cfg.enable_l3 && count > 2 {
             self.stats.heavy_pairs += 1;
             self.stats.occurrences_compressed += count as u64 - 1;
-            if self.sampler.enabled() && !self.l2h.contains_key(&dst) {
+            let cap = self.cfg.c2 / 2;
+            if self.heavy.bufs[dst].is_empty() {
+                self.heavy.bufs[dst].reserve_exact(cap);
                 if let Some(tag) = self.open_flow(ctx, CH_HEAVY) {
-                    self.fl2h.insert(dst, tag);
+                    self.heavy.flows[dst] = Some(tag);
                 }
             }
-            let buf = self.l2h.entry(dst).or_default();
+            let buf = &mut self.heavy.bufs[dst];
             buf.push((kmer, count));
             ctx.charge_ops(2);
-            if buf.len() >= self.cfg.c2 / 2 {
+            if buf.len() >= cap {
                 self.ship_heavy(ctx, dst);
             }
         } else {
             // count ∈ {1, 2}: append `count` copies (Algorithm 4).
             for _ in 0..count {
-                if self.sampler.enabled() && !self.l2n.contains_key(&dst) {
+                if self.normal.bufs[dst].is_empty() {
+                    self.normal.bufs[dst].reserve_exact(self.cfg.c2);
                     if let Some(tag) = self.open_flow(ctx, CH_NORMAL) {
-                        self.fl2n.insert(dst, tag);
+                        self.normal.flows[dst] = Some(tag);
                     }
                 }
-                let buf = self.l2n.entry(dst).or_default();
+                let buf = &mut self.normal.bufs[dst];
                 buf.push(kmer);
                 ctx.charge_ops(1);
                 if buf.len() >= self.cfg.c2 {
@@ -409,34 +472,26 @@ impl<W: KmerWord + RadixKey> Aggregator<W> {
         }
     }
 
-    fn encode_word(&self, w: W) -> Vec<u8> {
-        w.to_u128().to_le_bytes()[..self.word_bytes].to_vec()
-    }
-
-    /// Encodes and sends one NORMAL packet for `dst`.
-    fn ship_normal<F: Fabric>(&mut self, ctx: &mut F, dst: PeId) {
-        let Some(buf) = self.l2n.remove(&dst) else {
-            return;
-        };
-        if buf.is_empty() {
-            return;
-        }
-        debug_assert!(buf.len() <= self.cfg.c2);
-        let payload = encode_normal_packet(&buf, self.word_bytes);
-        ctx.charge_ops(payload.len() as u64 / 8 + 1);
-        self.stats.normal_packets += 1;
-        let fill_pct = ((buf.len() * 100) / self.cfg.c2.max(1)).min(100) as u8;
-        let records = buf.len() as u32;
-        ctx.metrics()
-            .observe("l2.packet_fill_pct", PCT_BOUNDS, fill_pct as f64);
+    /// The bookkeeping every L2 ship shares: the encode charge, the fill
+    /// tally and the trace event for a packet of `used` of `cap` records.
+    fn note_ship<F: Fabric>(
+        &mut self,
+        ctx: &mut F,
+        dst: PeId,
+        payload_bytes: usize,
+        used: usize,
+        cap: usize,
+        heavy: bool,
+    ) {
+        ctx.charge_ops(payload_bytes as u64 / 8 + 1);
+        let fill_pct = ((used * 100) / cap.max(1)).min(100) as u8;
+        self.fill.observe(fill_pct as f64);
         ctx.trace(|| EventKind::L2Ship {
             dst: dst as u32,
-            records,
+            records: used as u32,
             fill_pct,
-            heavy: false,
+            heavy,
         });
-        let flow = Self::stamp_ship(ctx, self.fl2n.remove(&dst), dst);
-        self.actor.send_flow(ctx, dst, CH_NORMAL, &payload, flow);
     }
 
     /// Stamps the L2→L1 hand-off time on a shipping packet's flow tag (if
@@ -453,31 +508,57 @@ impl<W: KmerWord + RadixKey> Aggregator<W> {
         Some(tag)
     }
 
-    /// Encodes and sends one HEAVY packet for `dst`.
-    fn ship_heavy<F: Fabric>(&mut self, ctx: &mut F, dst: PeId) {
-        let Some(buf) = self.l2h.remove(&dst) else {
-            return;
-        };
-        if buf.is_empty() {
+    /// Sends `dst`'s NORMAL buffer as one packet, encoded straight into
+    /// the L1 arena.
+    fn ship_normal<F: Fabric>(&mut self, ctx: &mut F, dst: PeId) {
+        let n = self.normal.bufs[dst].len();
+        if n == 0 {
             return;
         }
-        debug_assert!(buf.len() <= self.cfg.c2 / 2);
-        let payload = encode_heavy_packet(&buf, self.word_bytes);
-        ctx.charge_ops(payload.len() as u64 / 8 + 1);
-        self.stats.heavy_packets += 1;
-        let cap = (self.cfg.c2 / 2).max(1);
-        let fill_pct = ((buf.len() * 100) / cap).min(100) as u8;
-        let records = buf.len() as u32;
-        ctx.metrics()
-            .observe("l2.packet_fill_pct", PCT_BOUNDS, fill_pct as f64);
-        ctx.trace(|| EventKind::L2Ship {
-            dst: dst as u32,
-            records,
-            fill_pct,
-            heavy: true,
+        debug_assert!(n <= self.cfg.c2);
+        self.stats.normal_packets += 1;
+        let word_bytes = self.word_bytes;
+        self.note_ship(ctx, dst, n * word_bytes, n, self.cfg.c2, false);
+        let flow = Self::stamp_ship(ctx, self.normal.take_flow(dst), dst);
+        let buf = &mut self.normal.bufs[dst];
+        self.actor.send_with(ctx, dst, CH_NORMAL, flow, |arena| {
+            encode_normal_into(arena, buf, word_bytes)
         });
-        let flow = Self::stamp_ship(ctx, self.fl2h.remove(&dst), dst);
-        self.actor.send_flow(ctx, dst, CH_HEAVY, &payload, flow);
+        buf.clear();
+    }
+
+    /// Sends `dst`'s HEAVY buffer as one packet.
+    fn ship_heavy<F: Fabric>(&mut self, ctx: &mut F, dst: PeId) {
+        let n = self.heavy.bufs[dst].len();
+        if n == 0 {
+            return;
+        }
+        debug_assert!(n <= self.cfg.c2 / 2);
+        self.stats.heavy_packets += 1;
+        let word_bytes = self.word_bytes;
+        self.note_ship(ctx, dst, n * (word_bytes + 4), n, self.cfg.c2 / 2, true);
+        let flow = Self::stamp_ship(ctx, self.heavy.take_flow(dst), dst);
+        let buf = &mut self.heavy.bufs[dst];
+        self.actor.send_with(ctx, dst, CH_HEAVY, flow, |arena| {
+            encode_heavy_into(arena, buf, word_bytes)
+        });
+        buf.clear();
+    }
+
+    /// Sends `dst`'s span buffer as one SUPER packet; the records are
+    /// wire bytes already.
+    fn ship_super<F: Fabric>(&mut self, ctx: &mut F, dst: PeId) {
+        let len = self.spans.bufs[dst].len();
+        if len == 0 {
+            return;
+        }
+        self.stats.super_packets += 1;
+        self.stats.span_wire_bytes += len as u64;
+        self.note_ship(ctx, dst, len, len, self.cfg.super_payload::<W>(), false);
+        let flow = Self::stamp_ship(ctx, self.spans.take_flow(dst), dst);
+        let buf = &mut self.spans.bufs[dst];
+        self.actor.send_with(ctx, dst, CH_SUPER, flow, |arena| arena.extend_from_slice(buf));
+        buf.clear();
     }
 
     /// Polls and decodes arrived packets into `store`
@@ -486,25 +567,23 @@ impl<W: KmerWord + RadixKey> Aggregator<W> {
     pub fn progress<F: Fabric>(&mut self, ctx: &mut F, store: &mut ReceiveStore<W>) -> u64 {
         let before = self.actor.conveyor_stats();
         let word_bytes = self.word_bytes;
-        let (k, canonical) = (self.cfg.k, self.cfg.canonical == dakc_kmer::CanonicalMode::Canonical);
+        let (k, canonical) = (self.cfg.k, self.cfg.canonical == CanonicalMode::Canonical);
         let decode_err = &mut self.decode_err;
         let mut decoded_ops = 0u64;
         let mut expanded_kmers = 0u64;
         {
             let mut handler = |src: PeId, channel: u8, payload: &[u8]| {
-                if channel == CH_SUPER {
-                    // Fallible by design: a corrupt span stream latches a
-                    // typed error for the engine instead of panicking.
-                    match unpack_spans(payload, k, canonical, &mut store.plain) {
-                        Ok(sum) => expanded_kmers += sum.kmers,
-                        Err(e) => {
-                            if decode_err.is_none() {
-                                *decode_err = Some(e);
-                            }
-                        }
-                    }
+                // Fallible by design: a corrupt payload latches a typed
+                // error for the engine instead of panicking.
+                let decoded = if channel == CH_SUPER {
+                    unpack_spans(payload, k, canonical, &mut store.plain)
+                        .map(|sum| expanded_kmers += sum.kmers)
+                        .map_err(DecodeError::from)
                 } else {
-                    decode_packet(channel, payload, word_bytes, store);
+                    decode_packet(channel, payload, word_bytes, store)
+                };
+                if let Err(e) = decoded {
+                    decode_err.get_or_insert(e);
                 }
                 // No-op unless the store tracks sources (rank recovery).
                 store.note_delivery(src);
@@ -523,25 +602,19 @@ impl<W: KmerWord + RadixKey> Aggregator<W> {
 
     /// Flushes every level (L3 → L2 → L1 → L0) and enters draining mode;
     /// call once parsing is finished, immediately before the global
-    /// barrier.
+    /// barrier. Partial packets ship in ascending destination order,
+    /// channel by channel.
     pub fn flush<F: Fabric>(&mut self, ctx: &mut F) {
         if self.cfg.enable_l3 {
             self.flush_l3(ctx);
         }
-        // Deterministic partial-buffer flush order.
-        let mut heavy_dsts: Vec<PeId> = self.l2h.keys().copied().collect();
-        heavy_dsts.sort_unstable();
-        for dst in heavy_dsts {
+        for dst in 0..self.heavy.bufs.len() {
             self.ship_heavy(ctx, dst);
         }
-        let mut normal_dsts: Vec<PeId> = self.l2n.keys().copied().collect();
-        normal_dsts.sort_unstable();
-        for dst in normal_dsts {
+        for dst in 0..self.normal.bufs.len() {
             self.ship_normal(ctx, dst);
         }
-        let mut super_dsts: Vec<PeId> = self.l2s.keys().copied().collect();
-        super_dsts.sort_unstable();
-        for dst in super_dsts {
+        for dst in 0..self.spans.bufs.len() {
             self.ship_super(ctx, dst);
         }
         self.actor.begin_drain(ctx);
@@ -558,44 +631,57 @@ impl<W: KmerWord + RadixKey> Aggregator<W> {
         let before = self.l3.len();
         self.l3.retain(|&w| owner_pe(w, n) != dead);
         let mut purged = (before - self.l3.len()) as u64;
-        if let Some(buf) = self.l2n.remove(&dead) {
+        if let Some(buf) = self.normal.bufs.get_mut(dead) {
             purged += buf.len() as u64;
+            buf.clear();
         }
-        if let Some(buf) = self.l2h.remove(&dead) {
+        if let Some(buf) = self.heavy.bufs.get_mut(dead) {
             purged += buf.iter().map(|&(_, c)| c as u64).sum::<u64>();
+            buf.clear();
         }
-        if let Some(buf) = self.l2s.remove(&dead) {
+        if let Some(buf) = self.spans.bufs.get_mut(dead) {
             // Span buffers are already encoded; count k-mers per record.
-            let canonical = self.cfg.canonical == dakc_kmer::CanonicalMode::Canonical;
-            if let Ok(sum) = unpack_spans(&buf, self.cfg.k, canonical, &mut Vec::<W>::new()) {
+            let canonical = self.cfg.canonical == CanonicalMode::Canonical;
+            if let Ok(sum) = unpack_spans(buf, self.cfg.k, canonical, &mut Vec::<W>::new()) {
                 purged += sum.kmers; // locally packed: decode cannot fail
             }
+            buf.clear();
         }
         // Open flow tags for the purged buffers die with them.
-        self.fl2n.remove(&dead);
-        self.fl2h.remove(&dead);
-        self.fl2s.remove(&dead);
+        self.normal.take_flow(dead);
+        self.heavy.take_flow(dead);
+        self.spans.take_flow(dead);
         self.actor.purge_dest(ctx, dead);
         purged
     }
 
-    /// The first span-decode failure observed while servicing arrivals,
-    /// if any — cleared by the take.
-    pub fn take_decode_error(&mut self) -> Option<SpanDecodeError> {
+    /// The first decode failure observed while servicing arrivals, if
+    /// any — cleared by the take.
+    pub fn take_decode_error(&mut self) -> Option<DecodeError> {
         self.decode_err.take()
     }
 
     /// Test hook: latches a decode error exactly as servicing a corrupt
-    /// `CH_SUPER` payload would (first error wins).
+    /// payload would (first error wins).
     #[cfg(test)]
-    pub(crate) fn inject_decode_error(&mut self, e: SpanDecodeError) {
-        if self.decode_err.is_none() {
-            self.decode_err = Some(e);
-        }
+    pub(crate) fn inject_decode_error(&mut self, e: impl Into<DecodeError>) {
+        self.decode_err.get_or_insert(e.into());
     }
 
-    /// Releases registered buffer memory.
+    /// Releases registered buffer memory and folds the locally tallied
+    /// telemetry into the run's registry; call once, after the last ship.
     pub fn release<F: Fabric>(&mut self, ctx: &mut F) {
+        let m = ctx.metrics();
+        m.fold_histogram("l2.packet_fill_pct", &mut self.fill);
+        // Present exactly when a span (or a span packet) was shipped, as
+        // when they were counted one call per span.
+        if self.stats.spans_shipped > 0 {
+            m.inc("net.superkmer.spans", self.stats.spans_shipped);
+            m.inc("net.superkmer.bases_saved", self.stats.span_bases_saved);
+        }
+        if self.stats.super_packets > 0 {
+            m.inc("net.superkmer.bytes_sent", self.stats.span_wire_bytes);
+        }
         ctx.mem_free(self.cfg.app_layer_bytes::<W>(self.num_pes));
         self.actor.release(ctx);
     }
@@ -606,89 +692,130 @@ impl<W: KmerWord + RadixKey> Aggregator<W> {
     }
 }
 
+/// Runs `codec` on `word_bytes`, handing it over as the word type's own
+/// width — a constant per `W` — when the wire word is the whole word, so
+/// that copy of `codec` compiles its per-word copies to fixed-width loads
+/// and stores instead of `memcpy` calls.
+#[inline(always)]
+fn with_wire_width<W: KmerWord, R>(word_bytes: usize, mut codec: impl FnMut(usize) -> R) -> R {
+    debug_assert!((1..=16).contains(&word_bytes), "wire words are 1..=16 bytes");
+    let full = (W::BITS / 8) as usize;
+    if word_bytes == full {
+        codec(full)
+    } else {
+        codec(word_bytes)
+    }
+}
+
+/// Appends the NORMAL payload of `buf` to `out`.
+fn encode_normal_into<W: KmerWord>(out: &mut Vec<u8>, buf: &[W], word_bytes: usize) {
+    let start = out.len();
+    out.resize(start + buf.len() * word_bytes, 0);
+    let out = &mut out[start..];
+    with_wire_width::<W, _>(word_bytes, |word_bytes| {
+        for (slot, w) in out.chunks_exact_mut(word_bytes).zip(buf) {
+            slot.copy_from_slice(&w.to_u128().to_le_bytes()[..word_bytes]);
+        }
+    })
+}
+
 /// Encodes one NORMAL packet: `buf.len()` k-mer words, little-endian,
 /// truncated to `word_bytes` each. This *is* the L2 wire format — the
 /// transport layers below never re-encode it.
 pub fn encode_normal_packet<W: KmerWord>(buf: &[W], word_bytes: usize) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(buf.len() * word_bytes);
-    for w in buf {
-        payload.extend_from_slice(&w.to_u128().to_le_bytes()[..word_bytes]);
-    }
+    let mut payload = Vec::new();
+    encode_normal_into(&mut payload, buf, word_bytes);
     payload
+}
+
+/// Appends the HEAVY payload of `buf` to `out`.
+fn encode_heavy_into<W: KmerWord>(out: &mut Vec<u8>, buf: &[(W, u32)], word_bytes: usize) {
+    let start = out.len();
+    out.resize(start + buf.len() * (word_bytes + 4), 0);
+    let out = &mut out[start..];
+    with_wire_width::<W, _>(word_bytes, |word_bytes| {
+        for (slot, (w, c)) in out.chunks_exact_mut(word_bytes + 4).zip(buf) {
+            slot[..word_bytes].copy_from_slice(&w.to_u128().to_le_bytes()[..word_bytes]);
+            slot[word_bytes..].copy_from_slice(&c.to_le_bytes());
+        }
+    })
 }
 
 /// Encodes one HEAVY packet: `{k-mer, count}` pairs, each a little-endian
 /// word of `word_bytes` followed by a `u32 LE` count. Shared by the L2
 /// heavy channel and the distributed engine's result gather.
 pub fn encode_heavy_packet<W: KmerWord>(buf: &[(W, u32)], word_bytes: usize) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(buf.len() * (word_bytes + 4));
-    for (w, c) in buf {
-        payload.extend_from_slice(&w.to_u128().to_le_bytes()[..word_bytes]);
-        payload.extend_from_slice(&c.to_le_bytes());
-    }
+    let mut payload = Vec::new();
+    encode_heavy_into(&mut payload, buf, word_bytes);
     payload
+}
+
+/// Reads one little-endian word of `bytes.len() <= 16` bytes.
+#[inline(always)]
+fn read_word<W: KmerWord>(bytes: &[u8]) -> W {
+    let mut padded = [0u8; 16];
+    padded[..bytes.len()].copy_from_slice(bytes);
+    W::from_u128(u128::from_le_bytes(padded))
 }
 
 /// Decodes one packet into the receive store (the inverse of
 /// [`encode_normal_packet`] / [`encode_heavy_packet`] / the SINGLE
-/// channel's bare word).
+/// channel's bare word). A payload that is not a whole number of records
+/// (on SINGLE: not exactly one), or a channel this function does not
+/// know, is a typed error and leaves the store untouched.
 pub fn decode_packet<W: KmerWord>(
     channel: u8,
     payload: &[u8],
     word_bytes: usize,
     store: &mut ReceiveStore<W>,
-) {
-    let read_word = |bytes: &[u8]| -> W {
-        let mut padded = [0u8; 16];
-        padded[..word_bytes].copy_from_slice(&bytes[..word_bytes]);
-        W::from_u128(u128::from_le_bytes(padded))
+) -> Result<(), DecodeError> {
+    let record = match channel {
+        CH_NORMAL | CH_SINGLE => word_bytes,
+        CH_HEAVY => word_bytes + 4,
+        other => return Err(DecodeError::UnknownChannel { channel: other }),
     };
-    match channel {
-        CH_NORMAL => {
-            debug_assert_eq!(payload.len() % word_bytes, 0);
-            for chunk in payload.chunks_exact(word_bytes) {
-                store.plain.push(read_word(chunk));
-            }
-        }
-        CH_HEAVY => {
-            let pair_bytes = word_bytes + 4;
-            debug_assert_eq!(payload.len() % pair_bytes, 0);
-            for chunk in payload.chunks_exact(pair_bytes) {
-                let w = read_word(chunk);
-                let c = u32::from_le_bytes(
-                    chunk[word_bytes..pair_bytes].try_into().expect("count"),
-                );
-                store.pairs.push((w, c));
-            }
-        }
-        CH_SINGLE => {
-            store.plain.push(read_word(payload));
-        }
-        other => panic!("unknown channel {other}"),
+    let whole = if channel == CH_SINGLE {
+        payload.len() == record
+    } else {
+        payload.len().is_multiple_of(record)
+    };
+    if !whole {
+        return Err(DecodeError::RaggedPayload { channel, len: payload.len(), record });
     }
+    // `chunks_exact` knows its length, so each extend is one reserve and
+    // a copy loop with no per-word capacity check.
+    with_wire_width::<W, _>(word_bytes, |word_bytes| {
+        if channel == CH_HEAVY {
+            store.pairs.extend(payload.chunks_exact(word_bytes + 4).map(|pair| {
+                let (w, c) = pair.split_at(word_bytes);
+                (read_word::<W>(w), u32::from_le_bytes(c.try_into().expect("4 count bytes")))
+            }));
+        } else {
+            store.plain.extend(payload.chunks_exact(word_bytes).map(read_word::<W>));
+        }
+    });
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dakc_net::{Loopback, NetFabric};
 
     #[test]
     fn decode_normal_round_trip() {
         let mut store = ReceiveStore::<u64>::default();
-        let mut payload = Vec::new();
-        payload.extend_from_slice(&42u64.to_le_bytes());
-        payload.extend_from_slice(&7u64.to_le_bytes());
-        decode_packet(CH_NORMAL, &payload, 8, &mut store);
+        let payload = encode_normal_packet(&[42u64, 7], 8);
+        decode_packet(CH_NORMAL, &payload, 8, &mut store).unwrap();
         assert_eq!(store.plain, vec![42, 7]);
     }
 
     #[test]
     fn decode_heavy_round_trip() {
         let mut store = ReceiveStore::<u64>::default();
-        let mut payload = Vec::new();
-        payload.extend_from_slice(&99u64.to_le_bytes());
-        payload.extend_from_slice(&1000u32.to_le_bytes());
-        decode_packet(CH_HEAVY, &payload, 8, &mut store);
+        let payload = encode_heavy_packet(&[(99u64, 1000)], 8);
+        assert_eq!(payload.len(), 12);
+        decode_packet(CH_HEAVY, &payload, 8, &mut store).unwrap();
         assert_eq!(store.pairs, vec![(99, 1000)]);
         assert_eq!(store.total_occurrences(), 1000);
     }
@@ -696,7 +823,7 @@ mod tests {
     #[test]
     fn decode_single() {
         let mut store = ReceiveStore::<u64>::default();
-        decode_packet(CH_SINGLE, &5u64.to_le_bytes(), 8, &mut store);
+        decode_packet(CH_SINGLE, &5u64.to_le_bytes(), 8, &mut store).unwrap();
         assert_eq!(store.plain, vec![5]);
     }
 
@@ -704,14 +831,144 @@ mod tests {
     fn decode_u128_words() {
         let mut store = ReceiveStore::<u128>::default();
         let w: u128 = (3u128 << 100) | 17;
-        decode_packet(CH_SINGLE, &w.to_le_bytes(), 16, &mut store);
+        decode_packet(CH_SINGLE, &w.to_le_bytes(), 16, &mut store).unwrap();
         assert_eq!(store.plain, vec![w]);
     }
 
     #[test]
-    #[should_panic(expected = "unknown channel")]
-    fn decode_unknown_channel_panics() {
+    fn narrow_wire_words_round_trip() {
+        // Words narrower than the word type take the generic codec path.
+        let words = [0x00ab_cdefu64, 1, 0xffff_ffff_ffff];
         let mut store = ReceiveStore::<u64>::default();
-        decode_packet(9, &[0u8; 8], 8, &mut store);
+        decode_packet(CH_NORMAL, &encode_normal_packet(&words, 6), 6, &mut store).unwrap();
+        assert_eq!(store.plain, words);
+        let pairs = [(0x0012_3456u64, 9u32), (7, u32::MAX)];
+        decode_packet(CH_HEAVY, &encode_heavy_packet(&pairs, 5), 5, &mut store).unwrap();
+        assert_eq!(store.pairs, pairs);
+    }
+
+    #[test]
+    fn decode_unknown_channel_is_a_typed_error() {
+        let mut store = ReceiveStore::<u64>::default();
+        assert_eq!(
+            decode_packet(9, &[0u8; 8], 8, &mut store),
+            Err(DecodeError::UnknownChannel { channel: 9 })
+        );
+        // CH_SUPER payloads are span streams; this codec does not own them.
+        assert!(decode_packet(CH_SUPER, &[0u8; 8], 8, &mut store).is_err());
+        assert!(store.plain.is_empty() && store.pairs.is_empty());
+    }
+
+    #[test]
+    fn decode_truncated_payload_is_a_typed_error() {
+        let mut store = ReceiveStore::<u64>::default();
+        let normal = encode_normal_packet(&[1u64, 2, 3], 8);
+        assert_eq!(
+            decode_packet(CH_NORMAL, &normal[..20], 8, &mut store),
+            Err(DecodeError::RaggedPayload { channel: CH_NORMAL, len: 20, record: 8 })
+        );
+        let heavy = encode_heavy_packet(&[(1u64, 5), (2, 6)], 8);
+        assert_eq!(
+            decode_packet(CH_HEAVY, &heavy[..23], 8, &mut store),
+            Err(DecodeError::RaggedPayload { channel: CH_HEAVY, len: 23, record: 12 })
+        );
+        for len in [0, 7, 16] {
+            assert_eq!(
+                decode_packet(CH_SINGLE, &[0u8; 16][..len], 8, &mut store),
+                Err(DecodeError::RaggedPayload { channel: CH_SINGLE, len, record: 8 })
+            );
+        }
+        assert!(store.plain.is_empty() && store.pairs.is_empty(), "a bad payload adds nothing");
+    }
+
+    fn one_rank_of(ranks: usize, cfg: DakcConfig) -> (NetFabric<Loopback>, Aggregator<u64>) {
+        let mut fab = NetFabric::new(Loopback::mesh(ranks).remove(0));
+        let agg = Aggregator::<u64>::new(cfg, &mut fab);
+        (fab, agg)
+    }
+
+    // A ragged NORMAL record off the wire latches exactly like a corrupt
+    // span: progress keeps going, the first error waits for the engine.
+    #[test]
+    fn ragged_record_from_the_wire_latches_a_decode_error() {
+        let (mut fab, mut agg) = one_rank_of(1, DakcConfig::scaled_defaults(31));
+        let mut store = ReceiveStore::<u64>::default();
+        agg.actor.send(&mut fab, 0, CH_NORMAL, &[0u8; 9]);
+        agg.actor.send(&mut fab, 0, CH_NORMAL, &7u64.to_le_bytes());
+        agg.flush(&mut fab);
+        assert_eq!(agg.progress(&mut fab, &mut store), 2);
+        assert_eq!(store.plain, vec![7], "records after the bad one still land");
+        assert_eq!(
+            agg.take_decode_error(),
+            Some(DecodeError::RaggedPayload { channel: CH_NORMAL, len: 9, record: 8 })
+        );
+        assert_eq!(agg.take_decode_error(), None, "take clears the latch");
+    }
+
+    /// Distinct words owned by `dst` of `ranks`, in a fixed order.
+    fn words_owned_by(dst: PeId, ranks: usize, n: usize) -> Vec<u64> {
+        (1u64..).filter(|&w| owner_pe(w, ranks) == dst).take(n).collect()
+    }
+
+    #[test]
+    fn untouched_destinations_never_allocate() {
+        let cfg = DakcConfig::scaled_defaults(31).with_l3().with_superkmer(7);
+        let (mut fab, mut agg) = one_rank_of(3, cfg.clone());
+        for w in words_owned_by(1, 3, 5) {
+            agg.add_to_l2(&mut fab, w, 1);
+            agg.add_to_l2(&mut fab, w, 3);
+        }
+        assert_eq!(agg.normal.bufs[1].capacity(), cfg.c2);
+        assert_eq!(agg.heavy.bufs[1].capacity(), cfg.c2 / 2);
+        for dst in [0, 2] {
+            assert_eq!(agg.normal.bufs[dst].capacity(), 0);
+            assert_eq!(agg.heavy.bufs[dst].capacity(), 0);
+        }
+        assert!(agg.spans.bufs.iter().all(|b| b.capacity() == 0));
+        // A channel the configuration never uses has no table at all, and
+        // no flow table exists without sampling.
+        let (_, plain) = one_rank_of(3, DakcConfig::scaled_defaults(31));
+        assert!(plain.heavy.bufs.is_empty() && plain.spans.bufs.is_empty());
+        assert!(plain.normal.flows.is_empty());
+        // Shipping keeps the buffer for the next packet.
+        agg.flush(&mut fab);
+        assert!(agg.normal.bufs[1].is_empty());
+        assert_eq!(agg.normal.bufs[1].capacity(), cfg.c2);
+    }
+
+    // A destination with content at every level: words waiting in L3, a
+    // partial NORMAL and a partial HEAVY packet in L2, packets staged in
+    // L1 and records buffered in L0. The counts are those the hash-map
+    // tables returned at commit 3507dfe for this same sequence of calls.
+    #[test]
+    fn purge_dest_counts_every_level() {
+        let mut cfg = DakcConfig::scaled_defaults(31).with_l3();
+        (cfg.c3, cfg.c2, cfg.c1_packets, cfg.c0_bytes) = (64, 8, 4, 4096);
+        let (mut fab, mut agg) = one_rank_of(2, cfg);
+        let theirs = words_owned_by(1, 2, 40);
+        let mine = words_owned_by(0, 2, 40);
+        // 230 adds = three full L3 batches (whose flushes fill L2, L1 and
+        // L0) and 38 words left in L3. Every fifth add repeats one word,
+        // so each batch carries a heavy hitter per destination.
+        for i in 0..230 {
+            let pool = if i % 2 == 0 { &theirs } else { &mine };
+            let w = if i % 5 == 0 { pool[0] } else { pool[(i / 2) % pool.len()] };
+            agg.async_add(&mut fab, w);
+        }
+        let before = agg.conveyor_stats();
+        assert!(!agg.l3.is_empty() && !agg.normal.bufs[1].is_empty());
+        assert!(!agg.heavy.bufs[1].is_empty());
+        let purged = agg.purge_dest(&mut fab, 1);
+        let after = agg.conveyor_stats();
+        assert_eq!(purged, 43, "19 L3 words, 4 NORMAL words, 3 HEAVY pairs worth 20");
+        assert_eq!(after.items_purged - before.items_purged, 8, "L0 records");
+        assert!(agg.normal.bufs[1].is_empty() && agg.heavy.bufs[1].is_empty());
+        assert!(agg.l3.iter().all(|&w| owner_pe(w, 2) == 0));
+        // What is left is exactly this rank's own share.
+        let mut store = ReceiveStore::<u64>::default();
+        agg.flush(&mut fab);
+        while agg.progress(&mut fab, &mut store) > 0 {}
+        assert_eq!(store.total_occurrences(), 115);
+        assert_eq!(agg.take_decode_error(), None);
     }
 }

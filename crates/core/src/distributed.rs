@@ -37,7 +37,7 @@ use std::time::Instant;
 use dakc_conveyors::Fabric;
 use dakc_io::ReadSet;
 use dakc_kmer::{
-    counts::merge_sorted_counts, for_each_span, kmers_of_read, CanonicalMode, KmerCount, KmerWord,
+    counts::merge_sorted_counts, extract_into, for_each_span, CanonicalMode, KmerCount, KmerWord,
 };
 use dakc_net::{
     HeartbeatState, Loopback, NetError, NetFabric, NetResult, NetTuning, Phase, Transport,
@@ -45,10 +45,11 @@ use dakc_net::{
 };
 use dakc_sim::telemetry::{decode_events, encode_events, Event, MetricsRegistry};
 use dakc_sim::EventKind;
-use dakc_sort::{accumulate, accumulate_weighted, hybrid_sort, lsd_radix_sort_by, RadixKey};
+use dakc_sort::{accumulate, accumulate_weighted, hybrid_sort_from, lsd_radix_sort_by, RadixKey};
 
 use crate::aggregate::{decode_packet, encode_heavy_packet, Aggregator, ReceiveStore, CH_HEAVY};
 use crate::config::DakcConfig;
+use crate::threaded::top_byte_level;
 
 /// Gather chunk budget in bytes: small enough to interleave fairly on the
 /// launcher's inbox, large enough to amortize framing.
@@ -230,6 +231,9 @@ where
     let range = reads.pe_range(rank, n);
     let mut cursor = range.start;
     let canonical = cfg.canonical == CanonicalMode::Canonical;
+    // One read's k-mers at a time, so the words stay cache-resident
+    // between extraction and the cascade.
+    let mut words: Vec<W> = Vec::new();
     while cursor < range.end {
         let end = (cursor + cfg.batch_reads).min(range.end);
         if cfg.superkmer {
@@ -241,14 +245,14 @@ where
             }
         } else {
             for i in cursor..end {
-                for w in kmers_of_read::<W>(reads.get(i), cfg.k, cfg.canonical) {
-                    agg.async_add(&mut fab, w);
-                }
+                words.clear();
+                extract_into::<W>(reads.get(i), cfg.k, cfg.canonical, |w| words.push(w));
+                agg.async_add_batch(&mut fab, &words);
             }
         }
         cursor = end;
         agg.progress(&mut fab, &mut store);
-        take_span_error(&mut agg, rank)?;
+        surface_decode_error(&mut agg, rank)?;
         fab.check()?;
         if recover {
             service_recovery(&mut fab, &mut agg, &mut store, reads, cfg, range.start..cursor)?;
@@ -277,7 +281,7 @@ where
     let mut last_movement = Instant::now();
     loop {
         let processed = agg.progress(&mut fab, &mut store);
-        take_span_error(&mut agg, rank)?;
+        surface_decode_error(&mut agg, rank)?;
         fab.check()?;
         if recover {
             if service_recovery(&mut fab, &mut agg, &mut store, reads, cfg, range.clone())? {
@@ -339,7 +343,7 @@ where
     opts.set_phase(Phase::Count);
     fab.trace(|| EventKind::Phase { phase: Phase::Count as u32 });
     let ReceiveStore { mut plain, mut pairs, .. } = store;
-    hybrid_sort(&mut plain);
+    hybrid_sort_from(&mut plain, top_byte_level(cfg.k));
     let plain_counts: Vec<KmerCount<W>> = accumulate(&plain)
         .into_iter()
         .map(|(w, c)| KmerCount::new(w, c))
@@ -422,6 +426,7 @@ where
     let purged_sent = agg.purge_dest(fab, dead);
     let canonical = cfg.canonical == CanonicalMode::Canonical;
     let mut replayed = 0u64;
+    let mut words: Vec<W> = Vec::new();
     for i in parsed {
         if cfg.superkmer {
             for_each_span(reads.get(i), cfg.k, cfg.minimizer_len, canonical, |mz, span| {
@@ -431,12 +436,14 @@ where
                 }
             });
         } else {
-            for w in kmers_of_read::<W>(reads.get(i), cfg.k, cfg.canonical) {
+            words.clear();
+            extract_into::<W>(reads.get(i), cfg.k, cfg.canonical, |w| {
                 if dakc_kmer::owner_pe(w, n) == dead {
-                    replayed += 1;
-                    agg.async_add(fab, w);
+                    words.push(w);
                 }
-            }
+            });
+            replayed += words.len() as u64;
+            agg.async_add_batch(fab, &words);
         }
     }
     // Recovery-only counters: absent from any run that never recovered,
@@ -448,12 +455,12 @@ where
     Ok(true)
 }
 
-/// Surfaces a latched span-decode failure as a typed wire error: a span
-/// record that fails to unpack means some peer's stream corrupted in a
-/// way that framing alone could not catch. The source rank of the bad
+/// Surfaces a latched decode failure as a typed wire error: a packet or
+/// span record that fails to decode means some peer's stream corrupted in
+/// a way that framing alone could not catch. The source rank of the bad
 /// record is not recoverable post-hoc, so the error names the receiving
 /// rank and says so.
-fn take_span_error<W: KmerWord + RadixKey>(
+fn surface_decode_error<W: KmerWord + RadixKey>(
     agg: &mut Aggregator<W>,
     rank: usize,
 ) -> NetResult<()> {
@@ -461,7 +468,7 @@ fn take_span_error<W: KmerWord + RadixKey>(
         None => Ok(()),
         Some(e) => Err(NetError::CorruptFrame {
             rank,
-            detail: format!("super-k-mer span received on this rank failed to decode: {e}"),
+            detail: format!("a record received on this rank failed to decode: {e}"),
         }),
     }
 }
@@ -574,7 +581,9 @@ fn gather<W: KmerWord, T: Transport>(
             }
             PeerState::Pairs(remaining) => {
                 let mut store = ReceiveStore::<W>::default();
-                decode_packet(CH_HEAVY, &bytes, word_bytes, &mut store);
+                decode_packet(CH_HEAVY, &bytes, word_bytes, &mut store).map_err(|e| {
+                    NetError::CorruptFrame { rank: src, detail: format!("gather chunk: {e}") }
+                })?;
                 let got = store.pairs.len() as u64;
                 if got > remaining {
                     return Err(NetError::Protocol {
@@ -735,7 +744,7 @@ mod tests {
         ) -> Vec<KmerCount<u64>> {
             let mut h: BTreeMap<u64, u32> = BTreeMap::new();
             for r in reads.iter() {
-                for w in kmers_of_read::<u64>(r, k, canonical) {
+                for w in dakc_kmer::kmers_of_read::<u64>(r, k, canonical) {
                     *h.entry(w).or_default() += 1;
                 }
             }
@@ -784,7 +793,7 @@ mod tests {
         }
     }
 
-    // The aggregator's latched span-decode failure must come out of the
+    // The aggregator's latched decode failure must come out of the
     // run loop as a typed CorruptFrame naming this rank — the "corrupt
     // super frame never panics or miscounts" contract.
     #[test]
@@ -792,16 +801,16 @@ mod tests {
         let mut fab = NetFabric::new(Loopback::mesh(1).remove(0));
         let cfg = DakcConfig::scaled_defaults(5).with_superkmer(3);
         let mut agg = Aggregator::<u64>::new(cfg, &mut fab);
-        assert!(take_span_error(&mut agg, 1).is_ok(), "no error latched yet");
+        assert!(surface_decode_error(&mut agg, 1).is_ok(), "no error latched yet");
         agg.inject_decode_error(dakc_kmer::SpanDecodeError::TooShort { len: 2, k: 5 });
-        match take_span_error(&mut agg, 1) {
+        match surface_decode_error(&mut agg, 1) {
             Err(NetError::CorruptFrame { rank, detail }) => {
                 assert_eq!(rank, 1);
                 assert!(detail.contains("failed to decode"), "{detail}");
             }
             other => panic!("expected CorruptFrame, got {other:?}"),
         }
-        assert!(take_span_error(&mut agg, 1).is_ok(), "take must clear the latch");
+        assert!(surface_decode_error(&mut agg, 1).is_ok(), "take must clear the latch");
     }
 
     #[test]

@@ -54,7 +54,8 @@ pub mod program;
 pub mod threaded;
 
 pub use aggregate::{
-    decode_packet, encode_heavy_packet, encode_normal_packet, Aggregator, ReceiveStore,
+    decode_packet, encode_heavy_packet, encode_normal_packet, Aggregator, DecodeError,
+    ReceiveStore,
 };
 pub use config::{DakcConfig, DEFAULT_MINIMIZER_LEN};
 pub use distributed::{

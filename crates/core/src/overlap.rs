@@ -23,13 +23,14 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use dakc_io::ReadSet;
-use dakc_kmer::{kmers_of_read, KmerCount, KmerWord};
+use dakc_kmer::{extract_into, KmerCount, KmerWord};
 use dakc_sim::{Ctx, MachineConfig, Program, SimError, SimReport, Simulator, Step};
-use dakc_sort::{accumulate, accumulate_weighted, hybrid_sort, lsd_radix_sort_by, RadixKey};
+use dakc_sort::{accumulate, accumulate_weighted, hybrid_sort_from, lsd_radix_sort_by, RadixKey};
 
 use crate::aggregate::{Aggregator, ReceiveStore};
 use crate::config::DakcConfig;
 use crate::costs;
+use crate::threaded::top_byte_level;
 
 /// Owner-side incremental store: absorbs unordered deliveries into sorted,
 /// accumulated runs; one merge pass finalizes.
@@ -41,6 +42,9 @@ pub struct SortedRunStore<W> {
     /// Pending elements that trigger a run flush. Sized so a run sorts
     /// cache-resident.
     run_threshold: usize,
+    /// Radix digit the run sorts start at: the key's top byte unless the
+    /// owner knows every digit above a lower one is zero.
+    sort_level: usize,
 }
 
 impl<W: KmerWord + RadixKey> SortedRunStore<W> {
@@ -52,6 +56,7 @@ impl<W: KmerWord + RadixKey> SortedRunStore<W> {
             pending_pairs: Vec::new(),
             runs: Vec::new(),
             run_threshold,
+            sort_level: W::LEVELS - 1,
         }
     }
 
@@ -92,7 +97,7 @@ impl<W: KmerWord + RadixKey> SortedRunStore<W> {
         let wb = (W::BITS / 8) as u64;
         let mut plain = std::mem::take(&mut self.pending);
         costs::charge_hybrid_sort(ctx, plain.len() as u64, wb);
-        hybrid_sort(&mut plain);
+        hybrid_sort_from(&mut plain, self.sort_level);
         costs::charge_accumulate(ctx, plain.len() as u64, wb);
         let plain_counts: Vec<KmerCount<W>> = accumulate(&plain)
             .into_iter()
@@ -173,6 +178,8 @@ struct OverlapPeProgram<W: KmerWord> {
     cursor: usize,
     agg: Option<Aggregator<W>>,
     store: Option<SortedRunStore<W>>,
+    /// The k-mers of the read being parsed (scratch, reused).
+    words: Vec<W>,
     sink: Sink<W>,
     st: St,
 }
@@ -207,7 +214,9 @@ impl<W: KmerWord + RadixKey> Program for OverlapPeProgram<W> {
                     // *during* phase 1 — that closing is the overlap.
                     let share = ctx.machine().cache_bytes / ctx.machine().pes_per_node;
                     let threshold = (share / (2 * (W::BITS as usize / 8))).clamp(1024, 4096);
-                    self.store = Some(SortedRunStore::new(threshold));
+                    let mut store = SortedRunStore::new(threshold);
+                    store.sort_level = top_byte_level(self.cfg.k);
+                    self.store = Some(store);
                     return Step::Yield;
                 }
                 // Parse a batch.
@@ -217,10 +226,10 @@ impl<W: KmerWord + RadixKey> Program for OverlapPeProgram<W> {
                 for i in self.cursor..end {
                     let read = self.reads.get(i);
                     bases += read.len() as u64;
-                    for w in kmers_of_read::<W>(read, self.cfg.k, self.cfg.canonical) {
-                        kmers += 1;
-                        self.agg.as_mut().expect("created").async_add(ctx, w);
-                    }
+                    self.words.clear();
+                    extract_into::<W>(read, self.cfg.k, self.cfg.canonical, |w| self.words.push(w));
+                    kmers += self.words.len() as u64;
+                    self.agg.as_mut().expect("created").async_add_batch(ctx, &self.words);
                 }
                 self.cursor = end;
                 costs::charge_parse(ctx, kmers);
@@ -285,6 +294,7 @@ pub fn count_kmers_sim_overlap<W: KmerWord + RadixKey>(
                 range,
                 agg: None,
                 store: None,
+                words: Vec::new(),
                 sink: sink.clone(),
                 st: St::Parse,
             }) as Box<dyn Program>
@@ -320,7 +330,7 @@ mod tests {
         use std::collections::BTreeMap;
         let mut h: BTreeMap<u64, u32> = BTreeMap::new();
         for r in rs.iter() {
-            for w in kmers_of_read::<u64>(r, k, CanonicalMode::Forward) {
+            for w in dakc_kmer::kmers_of_read::<u64>(r, k, CanonicalMode::Forward) {
                 *h.entry(w).or_default() += 1;
             }
         }

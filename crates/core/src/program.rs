@@ -20,15 +20,16 @@ use std::sync::Arc;
 
 use dakc_io::ReadSet;
 use dakc_kmer::{
-    counts::merge_sorted_counts, for_each_span, kmers_of_read, packed_span_bytes, CanonicalMode,
+    counts::merge_sorted_counts, extract_into, for_each_span, packed_span_bytes, CanonicalMode,
     KmerCount, KmerWord,
 };
 use dakc_sim::{Ctx, Program, Step};
-use dakc_sort::{accumulate, accumulate_weighted, hybrid_sort, lsd_radix_sort_by, RadixKey};
+use dakc_sort::{accumulate, accumulate_weighted, hybrid_sort_from, lsd_radix_sort_by, RadixKey};
 
 use crate::aggregate::{AggStats, Aggregator, ReceiveStore};
 use crate::config::DakcConfig;
 use crate::costs;
+use crate::threaded::top_byte_level;
 
 /// Everything a PE publishes when it finishes.
 #[derive(Debug, Clone)]
@@ -65,6 +66,8 @@ pub struct DakcPeProgram<W: KmerWord> {
     cursor: usize,
     agg: Option<Aggregator<W>>,
     store: ReceiveStore<W>,
+    /// The k-mers of the read being parsed (scratch, reused).
+    words: Vec<W>,
     sink: OutputSink<W>,
     state: State,
 }
@@ -86,6 +89,7 @@ impl<W: KmerWord + RadixKey> DakcPeProgram<W> {
             cursor,
             agg: None,
             store: ReceiveStore::default(),
+            words: Vec::new(),
             sink,
             state: State::Parse,
         }
@@ -119,10 +123,10 @@ impl<W: KmerWord + RadixKey> DakcPeProgram<W> {
         for i in self.cursor..end {
             let read = self.reads.get(i);
             bases += read.len() as u64;
-            for w in kmers_of_read::<W>(read, self.cfg.k, self.cfg.canonical) {
-                kmers += 1;
-                agg.async_add(ctx, w);
-            }
+            self.words.clear();
+            extract_into::<W>(read, self.cfg.k, self.cfg.canonical, |w| self.words.push(w));
+            kmers += self.words.len() as u64;
+            agg.async_add_batch(ctx, &self.words);
         }
         self.cursor = end;
         costs::charge_parse(ctx, kmers);
@@ -143,7 +147,7 @@ impl<W: KmerWord + RadixKey> DakcPeProgram<W> {
         // Sort + accumulate the plain stream (the bulk of the data).
         ctx.mem_alloc(plain.len() as u64 * word_bytes);
         costs::charge_hybrid_sort(ctx, plain.len() as u64, word_bytes);
-        hybrid_sort(&mut plain);
+        hybrid_sort_from(&mut plain, top_byte_level(self.cfg.k));
         costs::charge_accumulate(ctx, plain.len() as u64, word_bytes);
         let plain_counts: Vec<KmerCount<W>> = accumulate(&plain)
             .into_iter()

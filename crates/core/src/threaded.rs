@@ -121,7 +121,7 @@ type PairBatch<W> = Vec<(W, u32)>;
 /// Index of the most significant radix byte inside the `2k`-bit window.
 /// All bytes above it are zero, so partitioning on it makes concatenated
 /// sorted buckets globally sorted.
-fn top_byte_level(k: usize) -> usize {
+pub(crate) fn top_byte_level(k: usize) -> usize {
     (2 * k - 1) / 8
 }
 

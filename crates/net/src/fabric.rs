@@ -36,7 +36,7 @@ use std::time::{Duration, Instant};
 use dakc_conveyors::conveyor::CONVEYOR_TAG;
 use dakc_conveyors::Fabric;
 use dakc_sim::telemetry::metrics::BYTES_BOUNDS;
-use dakc_sim::telemetry::{Event, MetricsRegistry, TraceSink};
+use dakc_sim::telemetry::{Event, Histogram, MetricsRegistry, TraceSink};
 use dakc_sim::{EventKind, FlowTag, Msg, PeId};
 
 use crate::error::{NetError, NetResult};
@@ -54,6 +54,9 @@ const FLOW_ENTRY_LEN: usize = 4 + TAG_WIRE_LEN;
 pub struct NetFabric<T: Transport> {
     transport: T,
     metrics: MetricsRegistry,
+    /// `msg.payload_bytes`, tallied outside the registry so a send does
+    /// not look the name up; folded in by [`NetFabric::finish`].
+    payload_bytes: Histogram,
     start: Instant,
     seq: u64,
     /// The first wire failure observed through the infallible `Fabric`
@@ -74,6 +77,7 @@ impl<T: Transport> NetFabric<T> {
         Self {
             transport,
             metrics: MetricsRegistry::default(),
+            payload_bytes: Histogram::with_bounds(BYTES_BOUNDS),
             start: Instant::now(),
             seq: 0,
             failure: None,
@@ -160,6 +164,7 @@ impl<T: Transport> NetFabric<T> {
     /// tracing was off).
     pub fn finish(mut self) -> (T, MetricsRegistry, Vec<Event>) {
         self.drain_notes();
+        self.metrics.fold_histogram("msg.payload_bytes", &mut self.payload_bytes);
         let me = self.transport.rank();
         self.transport.stats().fold_into(me, &mut self.metrics);
         if self.sink.dropped() > 0 {
@@ -260,8 +265,7 @@ impl<T: Transport> Fabric for NetFabric<T> {
         if self.failure.is_some() {
             return;
         }
-        self.metrics
-            .observe("msg.payload_bytes", BYTES_BOUNDS, payload.len() as f64);
+        self.payload_bytes.observe(payload.len() as f64);
         let bytes = payload.len() as u32;
         let traced = self.sink.enabled();
         if traced {

@@ -37,7 +37,7 @@ use crate::machine::{MachineConfig, PeId};
 use crate::memory::{MemoryTracker, OomError};
 use crate::msg::{ArrivalKey, Msg};
 use crate::stats::{Category, PeStats, SimReport};
-use crate::telemetry::{metrics as mbounds, EventKind, MetricsRegistry, TraceSink};
+use crate::telemetry::{metrics as mbounds, EventKind, Histogram, MetricsRegistry, TraceSink};
 
 /// What a program wants after a step. See the module docs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -181,6 +181,9 @@ pub struct Ctx<'a> {
     phase_entry: &'a mut Vec<f64>,
     trace: &'a mut TraceSink,
     metrics: &'a mut MetricsRegistry,
+    /// `msg.payload_bytes`, tallied outside the registry so a send does
+    /// not look the name up; folded in when the run ends.
+    payload_bytes: &'a mut Histogram,
 }
 
 impl Ctx<'_> {
@@ -282,8 +285,7 @@ impl Ctx<'_> {
         };
         let seq = *self.seq;
         *self.seq += 1;
-        self.metrics
-            .observe("msg.payload_bytes", mbounds::BYTES_BOUNDS, bytes as f64);
+        self.payload_bytes.observe(bytes as f64);
         self.trace.record(*self.clock, self.pe as u32, || EventKind::MsgSend {
             dst: dst as u32,
             tag,
@@ -443,6 +445,7 @@ impl Simulator {
         let mut barriers_completed = 0u64;
         let mut barrier_entry = vec![0.0f64; p];
         let mut metrics = MetricsRegistry::new();
+        let mut payload_bytes = Histogram::with_bounds(mbounds::BYTES_BOUNDS);
 
         // Runnable heap of (clock, pe, generation); stale entries skipped.
         let mut heap: BinaryHeap<Reverse<(ArrivalKey, PeId, u64)>> = BinaryHeap::new();
@@ -536,6 +539,7 @@ impl Simulator {
                     phase_entry: &mut phase_entry,
                     trace,
                     metrics: &mut metrics,
+                    payload_bytes: &mut payload_bytes,
                 };
                 program.step(&mut ctx)
             };
@@ -629,6 +633,7 @@ impl Simulator {
             phase_time.push((end - start).max(0.0));
         }
 
+        metrics.fold_histogram("msg.payload_bytes", &mut payload_bytes);
         Ok(SimReport {
             total_time,
             pes: stats,

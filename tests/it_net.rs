@@ -258,7 +258,7 @@ proptest! {
         let payloads = decode_split(&wire, &splits);
         prop_assert_eq!(payloads.len(), 1);
         let mut store = ReceiveStore::<u64>::default();
-        decode_packet(CH_NORMAL, &payloads[0], word_bytes, &mut store);
+        decode_packet(CH_NORMAL, &payloads[0], word_bytes, &mut store).unwrap();
         prop_assert_eq!(store.plain, words);
         prop_assert!(store.pairs.is_empty());
     }
@@ -276,7 +276,7 @@ proptest! {
         let payloads = decode_split(&wire, &splits);
         prop_assert_eq!(payloads.len(), 1);
         let mut store = ReceiveStore::<u128>::default();
-        decode_packet(CH_HEAVY, &payloads[0], word_bytes, &mut store);
+        decode_packet(CH_HEAVY, &payloads[0], word_bytes, &mut store).unwrap();
         prop_assert_eq!(store.pairs, pairs);
         prop_assert!(store.plain.is_empty());
     }
@@ -294,7 +294,7 @@ proptest! {
         let payload = encode_heavy_packet(&pairs, width);
         prop_assert_eq!(payload.len(), pairs.len() * (width + 4));
         let mut store = ReceiveStore::<u64>::default();
-        decode_packet(CH_HEAVY, &payload, width, &mut store);
+        decode_packet(CH_HEAVY, &payload, width, &mut store).unwrap();
         prop_assert_eq!(store.pairs, pairs);
     }
 
@@ -333,7 +333,7 @@ proptest! {
         }
         let mut store = ReceiveStore::<u64>::default();
         for payload in decode_split(&bytes, &splits) {
-            decode_packet(payload[0], &payload[1..], word_bytes, &mut store);
+            decode_packet(payload[0], &payload[1..], word_bytes, &mut store).unwrap();
         }
         prop_assert_eq!(store.plain, want.plain);
         prop_assert_eq!(store.pairs, want.pairs);
