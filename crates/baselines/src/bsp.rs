@@ -26,11 +26,11 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use dakc_io::ReadSet;
-use dakc_kmer::{kmers_of_read, CanonicalMode, KmerCount, KmerWord};
-use dakc_sim::{Ctx, MachineConfig, PeId, Program, SimError, SimReport, Simulator, Step};
-use dakc_sort::{
-    accumulate, accumulate_weighted, hybrid_sort, lsd_radix_sort_by, quicksort, RadixKey,
+use dakc_kmer::{
+    counts::merge_disjoint_runs, kmers_of_read, CanonicalMode, KmerCount, KmerWord,
 };
+use dakc_sim::{Ctx, MachineConfig, PeId, Program, SimError, SimReport, Simulator, Step};
+use dakc_sort::{accumulate_weighted, lsd_radix_sort_by, quicksort, sort_count, RadixKey};
 
 /// Shared per-PE output slot written by each program at completion.
 type OutputSink<W> = Rc<RefCell<Vec<Option<Vec<KmerCount<W>>>>>>;
@@ -243,20 +243,19 @@ impl<W: KmerWord + RadixKey> BspPeProgram<W> {
             match self.cfg.sort {
                 SortBackend::RadixHybrid => {
                     dakc::costs::charge_hybrid_sort(ctx, buf.len() as u64, wb);
-                    hybrid_sort(&mut buf);
                 }
                 SortBackend::Quicksort => {
                     dakc::costs::charge_comparison_sort(ctx, buf.len() as u64, wb);
+                    // `sort_count` then only sweeps the sorted buffer.
                     quicksort(&mut buf);
                 }
             }
             dakc::costs::charge_accumulate(ctx, buf.len() as u64, wb);
-            let pairs = accumulate(&buf);
-            let mut payload = Vec::with_capacity(pairs.len() * (self.word_bytes + 4));
-            for (w, c) in pairs {
+            let mut payload = Vec::new();
+            sort_count(&mut buf, |w, c| {
                 payload.extend_from_slice(&w.to_u128().to_le_bytes()[..self.word_bytes]);
                 payload.extend_from_slice(&c.to_le_bytes());
-            }
+            });
             ctx.charge_ops(payload.len() as u64 / 8 + 1);
             ctx.send(dst, self.round as u32, payload);
         }
@@ -428,13 +427,13 @@ pub fn count_kmers_bsp_sim<W: KmerWord + RadixKey>(
         .collect();
 
     let report = Simulator::new(machine.clone()).run(programs)?;
-    let mut counts: Vec<KmerCount<W>> = Rc::try_unwrap(sink)
+    let per_pe: Vec<Vec<KmerCount<W>>> = Rc::try_unwrap(sink)
         .expect("simulator dropped program references")
         .into_inner()
         .into_iter()
-        .flat_map(|o| o.expect("every PE published"))
+        .map(|o| o.expect("every PE published"))
         .collect();
-    counts.sort_unstable_by_key(|c| c.kmer);
+    let counts = merge_disjoint_runs(per_pe);
 
     Ok(BspRun {
         counts,

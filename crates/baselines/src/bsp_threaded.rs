@@ -13,10 +13,10 @@ use std::sync::{Barrier, Mutex};
 use std::time::{Duration, Instant};
 
 use dakc_io::ReadSet;
-use dakc_kmer::{kmers_of_read, owner_pe, CanonicalMode, KmerCount, KmerWord};
-use dakc_sort::{
-    accumulate, accumulate_weighted, hybrid_sort, lsd_radix_sort_by, quicksort, RadixKey,
+use dakc_kmer::{
+    counts::merge_disjoint_runs, kmers_of_read, owner_pe, CanonicalMode, KmerCount, KmerWord,
 };
+use dakc_sort::{accumulate_weighted, lsd_radix_sort_by, quicksort, sort_count, RadixKey};
 
 use crate::bsp::SortBackend;
 
@@ -87,11 +87,12 @@ pub fn count_kmers_bsp_threaded<W: KmerWord + RadixKey>(
                         if buf.is_empty() {
                             continue;
                         }
-                        match sort {
-                            SortBackend::RadixHybrid => hybrid_sort(&mut buf),
-                            SortBackend::Quicksort => quicksort(&mut buf),
+                        if sort == SortBackend::Quicksort {
+                            // `sort_count` then only sweeps the sorted buffer.
+                            quicksort(&mut buf);
                         }
-                        let pairs = accumulate(&buf);
+                        let mut pairs = Vec::new();
+                        sort_count(&mut buf, |w, c| pairs.push((w, c)));
                         inboxes[owner].lock().unwrap().extend_from_slice(&pairs);
                     }
                     // The blocking collective's synchronization.
@@ -113,11 +114,11 @@ pub fn count_kmers_bsp_threaded<W: KmerWord + RadixKey>(
         }
     });
 
-    let mut counts: Vec<KmerCount<W>> = outputs
+    let runs: Vec<Vec<KmerCount<W>>> = outputs
         .iter()
-        .flat_map(|m| m.lock().unwrap().take().expect("published"))
+        .map(|m| m.lock().unwrap().take().expect("published"))
         .collect();
-    counts.sort_unstable_by_key(|c| c.kmer);
+    let counts = merge_disjoint_runs(runs);
 
     BspThreadedRun {
         counts,

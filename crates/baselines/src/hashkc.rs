@@ -19,7 +19,9 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use dakc_io::ReadSet;
-use dakc_kmer::{kmers_of_read, CanonicalMode, KmerCount, KmerWord};
+use dakc_kmer::{
+    counts::merge_disjoint_runs, kmers_of_read, CanonicalMode, KmerCount, KmerWord,
+};
 use dakc_sim::{Ctx, MachineConfig, PeId, Program, SimError, SimReport, Simulator, Step};
 use dakc_sort::RadixKey;
 
@@ -278,13 +280,13 @@ pub fn count_kmers_hash_sim<W: KmerWord + RadixKey>(
         })
         .collect();
     let report = Simulator::new(machine.clone()).run(programs)?;
-    let mut counts: Vec<KmerCount<W>> = Rc::try_unwrap(sink)
+    let per_pe: Vec<Vec<KmerCount<W>>> = Rc::try_unwrap(sink)
         .expect("sole owner")
         .into_inner()
         .into_iter()
-        .flat_map(|o| o.expect("published"))
+        .map(|o| o.expect("published"))
         .collect();
-    counts.sort_unstable_by_key(|c| c.kmer);
+    let counts = merge_disjoint_runs(per_pe);
     Ok(HashKcRun {
         counts,
         report,

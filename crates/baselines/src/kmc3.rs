@@ -23,9 +23,10 @@ use std::time::{Duration, Instant};
 
 use dakc_io::ReadSet;
 use dakc_kmer::{
-    kmers_of_read, minimizer::super_kmers, CanonicalMode, KmerCount, KmerWord,
+    counts::merge_disjoint_runs, kmers_of_read, minimizer::super_kmers, CanonicalMode, KmerCount,
+    KmerWord,
 };
-use dakc_sort::{accumulate, hybrid_sort, RadixKey};
+use dakc_sort::{sort_count, RadixKey};
 
 /// KMC3-like configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -116,7 +117,7 @@ pub fn count_kmers_kmc3<W: KmerWord + RadixKey>(
     });
 
     // --- Stage 2: per-bin expand + sort + accumulate ---
-    let outputs: Vec<Mutex<Vec<KmerCount<W>>>> =
+    let outputs: Vec<Mutex<Vec<Vec<KmerCount<W>>>>> =
         (0..cfg.threads).map(|_| Mutex::new(Vec::new())).collect();
     let next_bin = std::sync::atomic::AtomicUsize::new(0);
     std::thread::scope(|s| {
@@ -125,7 +126,8 @@ pub fn count_kmers_kmc3<W: KmerWord + RadixKey>(
             let outputs = &outputs;
             let next_bin = &next_bin;
             s.spawn(move || {
-                let mut out: Vec<KmerCount<W>> = Vec::new();
+                // One sorted run per bin.
+                let mut out: Vec<Vec<KmerCount<W>>> = Vec::new();
                 loop {
                     let b = next_bin.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                     if b >= cfg.bins {
@@ -139,23 +141,21 @@ pub fn count_kmers_kmc3<W: KmerWord + RadixKey>(
                     for sk in &sks {
                         kmers.extend(kmers_of_read::<W>(&sk.seq, cfg.k, cfg.canonical));
                     }
-                    hybrid_sort(&mut kmers);
-                    out.extend(
-                        accumulate(&kmers)
-                            .into_iter()
-                            .map(|(w, c)| KmerCount::new(w, c)),
-                    );
+                    let mut run = Vec::new();
+                    sort_count(&mut kmers, |w, c| run.push(KmerCount::new(w, c)));
+                    out.push(run);
                 }
                 outputs[t].lock().unwrap().append(&mut out);
             });
         }
     });
 
-    let mut counts: Vec<KmerCount<W>> = outputs
+    // A k-mer's minimizer names its bin, so the bins' runs are disjoint.
+    let runs: Vec<Vec<KmerCount<W>>> = outputs
         .iter()
         .flat_map(|m| std::mem::take(&mut *m.lock().unwrap()))
         .collect();
-    counts.sort_unstable_by_key(|c| c.kmer);
+    let counts = merge_disjoint_runs(runs);
 
     Kmc3Run {
         counts,

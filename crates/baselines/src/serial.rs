@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 
 use dakc_io::ReadSet;
 use dakc_kmer::{kmers_of_read, CanonicalMode, KmerCount, KmerWord};
-use dakc_sort::{accumulate, hybrid_sort_from, quicksort, RadixKey};
+use dakc_sort::{quicksort, sort_count, RadixKey};
 
 /// Result of a serial run.
 #[derive(Debug, Clone)]
@@ -32,16 +32,11 @@ pub fn count_kmers_serial<W: KmerWord + RadixKey>(
         t.extend(kmers_of_read::<W>(r, k, canonical));
     }
     if use_quicksort {
+        // `sort_count` then finds the array sorted and only sweeps it.
         quicksort(&mut t);
-    } else {
-        // Start at the top byte inside the 2k-bit window: every byte above
-        // it is zero, and a histogram pass per such byte finds only that.
-        hybrid_sort_from(&mut t, (2 * k - 1) / 8);
     }
-    let counts = accumulate(&t)
-        .into_iter()
-        .map(|(w, c)| KmerCount::new(w, c))
-        .collect();
+    let mut counts = Vec::new();
+    sort_count(&mut t, |w, c| counts.push(KmerCount::new(w, c)));
     SerialRun {
         counts,
         elapsed: start.elapsed(),

@@ -4,7 +4,10 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dakc_io::{generate_genome, simulate_reads, GenomeSpec, ReadSimConfig};
 use dakc_kmer::{kmers_of_read, owner_pe, CanonicalMode, KmerWord};
-use dakc_sort::{hybrid_sort, lsd_radix_sort, msd_radix_sort, parallel_radix_sort, quicksort};
+use dakc_sort::{
+    accumulate, hybrid_sort, in_cache_keys, lsd_radix_sort, msd_radix_sort, parallel_radix_sort,
+    quicksort, sort_count,
+};
 
 fn reads(n: usize) -> dakc_io::ReadSet {
     let genome = generate_genome(&GenomeSpec { bases: 200_000, repeats: None }, 1);
@@ -136,6 +139,111 @@ fn bench_sorts(c: &mut Criterion) {
     g.finish();
 }
 
+/// `n` k = 31 keys (62 bits) in which every distinct key occurs about
+/// `dup` times, in random order — what phase 2 receives at coverage `dup`.
+fn duplicated_kmers(n: usize, dup: usize) -> Vec<u64> {
+    let distinct = xorshift_vec(n / dup, 42);
+    xorshift_vec(n, 0x9E37)
+        .into_iter()
+        .map(|i| distinct[(i % distinct.len() as u64) as usize] & u64::mask(31))
+        .collect()
+}
+
+/// Phase 2 as the engines meet it — out of L2, duplicated keys — which
+/// `sort_128k_kmers` (L2-resident, all distinct) says nothing about: the
+/// fused `sort_count` against sort-then-accumulate and the other sorters.
+fn bench_phase2_out_of_cache(c: &mut Criterion) {
+    let n = 1 << 22;
+    for dup in [1usize, 3, 12] {
+        let data = duplicated_kmers(n, dup);
+        let mut g = c.benchmark_group(format!("phase2_4m_dup{dup}"));
+        g.sample_size(10);
+        g.throughput(Throughput::Elements(n as u64));
+        g.bench_function("sort_count", |b| {
+            b.iter(|| {
+                let mut v = data.clone();
+                let mut counts: Vec<(u64, u32)> = Vec::new();
+                sort_count(&mut v, |w, c| counts.push((w, c)));
+                black_box(counts.len())
+            })
+        });
+        g.bench_function("hybrid_sort_accumulate", |b| {
+            b.iter(|| {
+                let mut v = data.clone();
+                hybrid_sort(&mut v);
+                black_box(accumulate(&v).len())
+            })
+        });
+        g.bench_function("ska_hybrid", |b| {
+            b.iter(|| {
+                let mut v = data.clone();
+                hybrid_sort(&mut v);
+                black_box(v.len())
+            })
+        });
+        g.bench_function("std_unstable", |b| {
+            b.iter(|| {
+                let mut v = data.clone();
+                v.sort_unstable();
+                black_box(v.len())
+            })
+        });
+        g.bench_function("lsd_radix", |b| {
+            b.iter(|| {
+                let mut v = data.clone();
+                lsd_radix_sort(&mut v);
+                black_box(v.len())
+            })
+        });
+        g.finish();
+    }
+}
+
+/// The candidates for `sort_count`'s in-cache finisher, each run over the
+/// `in_cache_keys`-sized buckets of a 2^18-key array that an 8-bit
+/// partition has already been through (keys of a bucket share their top
+/// byte). The winner is the one `dakc_sort::hybrid` keeps.
+fn bench_phase2_in_cache(c: &mut Criterion) {
+    let n = 1 << 18;
+    let bucket = in_cache_keys::<u64>();
+    for dup in [1usize, 3, 12] {
+        let mut data = duplicated_kmers(n, dup);
+        for (i, x) in data.iter_mut().enumerate() {
+            *x = (*x >> 8) | ((i / bucket) as u64 % 64) << 54;
+        }
+        let mut g = c.benchmark_group(format!("phase2_in_cache_dup{dup}"));
+        g.throughput(Throughput::Elements(n as u64));
+        g.bench_function("std_unstable", |b| {
+            b.iter(|| {
+                let mut v = data.clone();
+                v.chunks_mut(bucket).for_each(|s| s.sort_unstable());
+                black_box(v.len())
+            })
+        });
+        g.bench_function("msd_radix", |b| {
+            b.iter(|| {
+                let mut v = data.clone();
+                v.chunks_mut(bucket).for_each(msd_radix_sort);
+                black_box(v.len())
+            })
+        });
+        g.bench_function("lsd_radix", |b| {
+            b.iter(|| {
+                let mut v = data.clone();
+                let mut s = Vec::with_capacity(bucket);
+                for chunk in v.chunks_mut(bucket) {
+                    s.clear();
+                    s.extend_from_slice(chunk);
+                    lsd_radix_sort(&mut s);
+                    chunk.copy_from_slice(&s);
+                }
+                black_box(v.len())
+            })
+        });
+        g.finish();
+    }
+}
+
 fn bench_end_to_end(c: &mut Criterion) {
     let rs = reads(4_000);
     let kmers = rs.total_kmers(31) as u64;
@@ -173,6 +281,8 @@ criterion_group!(
     bench_extraction,
     bench_owner_hash,
     bench_sorts,
+    bench_phase2_out_of_cache,
+    bench_phase2_in_cache,
     bench_end_to_end
 );
 criterion_main!(benches);

@@ -8,7 +8,7 @@ use dakc_io::{generate_genome, simulate_reads, GenomeSpec, ReadSimConfig};
 use dakc_kmer::{
     extract_into, kmers_of_read, minimizer_of, super_kmers, CanonicalMode, KmerCount, KmerWord,
 };
-use dakc_sort::{accumulate, distinct_runs_estimate, hybrid_sort, hybrid_sort_from, RadixKey};
+use dakc_sort::{accumulate, hybrid_sort, sort_count, RadixKey};
 
 fn reads(n: usize) -> dakc_io::ReadSet {
     let genome = generate_genome(&GenomeSpec { bases: 200_000, repeats: None }, 1);
@@ -132,9 +132,10 @@ fn bench_minimizer(c: &mut Criterion) {
     g.finish();
 }
 
-/// Phase 2 on one owner's partition: one monolithic sort + accumulate vs
-/// the engine's pre-partitioned form (scatter by top radix byte, sort each
-/// cache-resident bucket from the next level down, fused accumulate).
+/// Phase 2 on one owner's partition: sort then accumulate, the fused
+/// `sort_count` every engine calls, and the threaded engine's
+/// pre-partitioned form (producers scatter by top radix byte, the owner
+/// runs `sort_count` per bucket).
 fn bench_phase2(c: &mut Criterion) {
     let n = 1 << 18;
     let data = kmer_vec(n, 42);
@@ -148,6 +149,14 @@ fn bench_phase2(c: &mut Criterion) {
             let mut v = data.clone();
             hybrid_sort(&mut v);
             let counts: Vec<(u64, u32)> = accumulate(&v);
+            black_box(counts.len())
+        })
+    });
+    g.bench_function("monolithic_sort_count", |b| {
+        b.iter(|| {
+            let mut v = data.clone();
+            let mut counts: Vec<KmerCount<u64>> = Vec::new();
+            sort_count(&mut v, |w, c| counts.push(KmerCount::new(w, c)));
             black_box(counts.len())
         })
     });
@@ -171,20 +180,12 @@ fn bench_phase2(c: &mut Criterion) {
                 v[cursor[bkt]] = w;
                 cursor[bkt] += 1;
             }
-            // Owner-side: sort each cache-resident bucket, fused sweep.
+            // Owner-side: sort and count each bucket while it is in cache.
+            let mut counts: Vec<KmerCount<u64>> = Vec::new();
             for bkt in 0..256 {
-                let (lo, hi) = (starts[bkt], cursor[bkt]);
-                if hi - lo > 1 {
-                    hybrid_sort_from(&mut v[lo..hi], bucket_level - 1);
-                }
-            }
-            let mut counts: Vec<KmerCount<u64>> =
-                Vec::with_capacity(distinct_runs_estimate(&v));
-            for &w in &v {
-                match counts.last_mut() {
-                    Some(c) if c.kmer == w => c.count = c.count.saturating_add(1),
-                    _ => counts.push(KmerCount::new(w, 1)),
-                }
+                sort_count(&mut v[starts[bkt]..cursor[bkt]], |w, c| {
+                    counts.push(KmerCount::new(w, c))
+                });
             }
             black_box(counts.len())
         })

@@ -21,7 +21,7 @@ use dakc_kmer::{
 use dakc_sim::telemetry::metrics::PCT_BOUNDS;
 use dakc_sim::telemetry::Histogram;
 use dakc_sim::{EventKind, FlowSampler, FlowTag, PeId};
-use dakc_sort::{accumulate, hybrid_sort, RadixKey};
+use dakc_sort::{sort_count, RadixKey};
 
 use crate::config::DakcConfig;
 use crate::costs;
@@ -389,12 +389,8 @@ impl<W: KmerWord + RadixKey> Aggregator<W> {
         // levels. This is the "very high C3 values incur additional
         // sorting overheads" effect of Fig 13b.
         costs::charge_hybrid_sort(ctx, buf.len() as u64, self.word_bytes as u64);
-        hybrid_sort(&mut buf);
-        let accumulated = accumulate(&buf);
         costs::charge_accumulate(ctx, buf.len() as u64, self.word_bytes as u64);
-        for (kmer, count) in accumulated {
-            self.add_to_l2(ctx, kmer, count);
-        }
+        sort_count(&mut buf, |kmer, count| self.add_to_l2(ctx, kmer, count));
         self.l3_open = None;
         // The next batch fills the same allocation.
         buf.clear();

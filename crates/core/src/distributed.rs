@@ -37,7 +37,8 @@ use std::time::Instant;
 use dakc_conveyors::Fabric;
 use dakc_io::ReadSet;
 use dakc_kmer::{
-    counts::merge_sorted_counts, extract_into, for_each_span, CanonicalMode, KmerCount, KmerWord,
+    counts::{merge_disjoint_runs, merge_sorted_counts},
+    extract_into, for_each_span, CanonicalMode, KmerCount, KmerWord,
 };
 use dakc_net::{
     HeartbeatState, Loopback, NetError, NetFabric, NetResult, NetTuning, Phase, Transport,
@@ -45,11 +46,10 @@ use dakc_net::{
 };
 use dakc_sim::telemetry::{decode_events, encode_events, Event, MetricsRegistry};
 use dakc_sim::EventKind;
-use dakc_sort::{accumulate, accumulate_weighted, hybrid_sort_from, lsd_radix_sort_by, RadixKey};
+use dakc_sort::{accumulate_weighted, lsd_radix_sort_by, sort_count, RadixKey};
 
 use crate::aggregate::{decode_packet, encode_heavy_packet, Aggregator, ReceiveStore, CH_HEAVY};
 use crate::config::DakcConfig;
-use crate::threaded::top_byte_level;
 
 /// Gather chunk budget in bytes: small enough to interleave fairly on the
 /// launcher's inbox, large enough to amortize framing.
@@ -343,11 +343,8 @@ where
     opts.set_phase(Phase::Count);
     fab.trace(|| EventKind::Phase { phase: Phase::Count as u32 });
     let ReceiveStore { mut plain, mut pairs, .. } = store;
-    hybrid_sort_from(&mut plain, top_byte_level(cfg.k));
-    let plain_counts: Vec<KmerCount<W>> = accumulate(&plain)
-        .into_iter()
-        .map(|(w, c)| KmerCount::new(w, c))
-        .collect();
+    let mut plain_counts: Vec<KmerCount<W>> = Vec::new();
+    sort_count(&mut plain, |w, c| plain_counts.push(KmerCount::new(w, c)));
     lsd_radix_sort_by(&mut pairs, |p| p.0);
     let pair_counts: Vec<KmerCount<W>> = accumulate_weighted(&pairs)
         .into_iter()
@@ -531,7 +528,10 @@ fn gather<W: KmerWord, T: Transport>(
         .map(|r| if r == 0 { PeerState::Done } else { PeerState::Header })
         .collect();
     let mut merged = metrics;
-    let mut all: Vec<(W, u32)> = counts.into_iter().map(|c| (c.kmer, c.count)).collect();
+    // One sorted run per rank; chunks of different ranks interleave on the
+    // wire, chunks of one rank arrive in order.
+    let mut runs: Vec<Vec<KmerCount<W>>> = vec![Vec::new(); n];
+    runs[0] = counts;
     let mut merged_trace = trace;
     let mut trace_bufs: Vec<Vec<u8>> = vec![Vec::new(); n];
     let mut outstanding = n - 1;
@@ -592,7 +592,7 @@ fn gather<W: KmerWord, T: Transport>(
                         ),
                     });
                 }
-                all.extend(store.pairs);
+                runs[src].extend(store.pairs.iter().map(|&(w, c)| KmerCount::new(w, c)));
                 states[src] = if got == remaining {
                     PeerState::Metrics
                 } else {
@@ -667,14 +667,8 @@ fn gather<W: KmerWord, T: Transport>(
     }
     merged.inc("net.ranks", n as u64);
 
-    // Owner partitioning makes per-rank k-mer sets disjoint: concatenate
-    // and sort once.
-    all.sort_unstable_by_key(|&(w, _)| w);
-    let counts: Vec<KmerCount<W>> = all
-        .into_iter()
-        .map(|(w, c)| KmerCount::new(w, c))
-        .collect();
-    debug_assert!(dakc_kmer::counts::is_sorted_strict(&counts));
+    // Owner partitioning makes per-rank k-mer sets disjoint.
+    let counts = merge_disjoint_runs(runs);
     Ok(Some((transport, counts, merged, merged_trace)))
 }
 

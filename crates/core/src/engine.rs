@@ -5,7 +5,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use dakc_io::ReadSet;
-use dakc_kmer::{KmerCount, KmerWord};
+use dakc_kmer::{counts::merge_disjoint_runs, KmerCount, KmerWord};
 use dakc_sim::{MachineConfig, Program, SimError, SimReport, Simulator, TraceSink};
 use dakc_sort::RadixKey;
 
@@ -107,11 +107,9 @@ pub fn count_kmers_sim_traced<W: KmerWord + RadixKey>(
         .map(|o| o.expect("every PE published"))
         .collect();
 
-    // Owner partitioning makes per-PE k-mer sets disjoint: concatenate and
-    // sort once (result assembly, not part of the algorithm's timed work).
-    let mut counts: Vec<KmerCount<W>> = per_pe.iter().flat_map(|o| o.counts.iter().copied()).collect();
-    counts.sort_unstable_by_key(|c| c.kmer);
-    debug_assert!(dakc_kmer::counts::is_sorted_strict(&counts));
+    // Owner partitioning makes per-PE k-mer sets disjoint: merge the sorted
+    // runs (result assembly, not part of the algorithm's timed work).
+    let counts = merge_disjoint_runs(per_pe.iter().map(|o| o.counts.clone()).collect());
 
     Ok(DakcRun {
         counts,

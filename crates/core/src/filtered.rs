@@ -21,9 +21,10 @@ use std::time::{Duration, Instant};
 
 use dakc_io::ReadSet;
 use dakc_kmer::{
-    bloom::BloomFilter, kmers_of_read, owner_pe, CanonicalMode, KmerCount, KmerWord,
+    bloom::BloomFilter, counts::merge_disjoint_runs, kmers_of_read, owner_pe, CanonicalMode,
+    KmerCount, KmerWord,
 };
-use dakc_sort::{accumulate, hybrid_sort, RadixKey};
+use dakc_sort::{sort_count, RadixKey};
 
 /// Result of a filtered run.
 #[derive(Debug, Clone)]
@@ -100,25 +101,24 @@ pub fn count_kmers_filtered<W: KmerWord + RadixKey>(
                         skipped += 1;
                     }
                 }
-                hybrid_sort(&mut survivors);
-                let counts: Vec<KmerCount<W>> = accumulate(&survivors)
-                    .into_iter()
-                    // The first sighting fed the filter: report c + 1.
-                    .map(|(w, c)| KmerCount::new(w, c.saturating_add(1)))
-                    .collect();
+                let mut counts: Vec<KmerCount<W>> = Vec::new();
+                // The first sighting fed the filter: report c + 1.
+                sort_count(&mut survivors, |w, c| {
+                    counts.push(KmerCount::new(w, c.saturating_add(1)))
+                });
                 *outputs[t].lock().unwrap() = Some((counts, skipped));
             });
         }
     });
 
-    let mut counts: Vec<KmerCount<W>> = Vec::new();
+    let mut runs: Vec<Vec<KmerCount<W>>> = Vec::new();
     let mut skipped_first_sightings = 0u64;
     for o in &outputs {
         let (c, s) = o.lock().unwrap().take().expect("published");
-        counts.extend(c);
+        runs.push(c);
         skipped_first_sightings += s;
     }
-    counts.sort_unstable_by_key(|c| c.kmer);
+    let counts = merge_disjoint_runs(runs);
 
     FilteredRun {
         counts,

@@ -23,14 +23,13 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use dakc_io::ReadSet;
-use dakc_kmer::{extract_into, KmerCount, KmerWord};
+use dakc_kmer::{counts::merge_disjoint_runs, extract_into, KmerCount, KmerWord};
 use dakc_sim::{Ctx, MachineConfig, Program, SimError, SimReport, Simulator, Step};
-use dakc_sort::{accumulate, accumulate_weighted, hybrid_sort_from, lsd_radix_sort_by, RadixKey};
+use dakc_sort::{accumulate_weighted, lsd_radix_sort_by, sort_count, RadixKey};
 
 use crate::aggregate::{Aggregator, ReceiveStore};
 use crate::config::DakcConfig;
 use crate::costs;
-use crate::threaded::top_byte_level;
 
 /// Owner-side incremental store: absorbs unordered deliveries into sorted,
 /// accumulated runs; one merge pass finalizes.
@@ -42,9 +41,6 @@ pub struct SortedRunStore<W> {
     /// Pending elements that trigger a run flush. Sized so a run sorts
     /// cache-resident.
     run_threshold: usize,
-    /// Radix digit the run sorts start at: the key's top byte unless the
-    /// owner knows every digit above a lower one is zero.
-    sort_level: usize,
 }
 
 impl<W: KmerWord + RadixKey> SortedRunStore<W> {
@@ -56,7 +52,6 @@ impl<W: KmerWord + RadixKey> SortedRunStore<W> {
             pending_pairs: Vec::new(),
             runs: Vec::new(),
             run_threshold,
-            sort_level: W::LEVELS - 1,
         }
     }
 
@@ -97,12 +92,9 @@ impl<W: KmerWord + RadixKey> SortedRunStore<W> {
         let wb = (W::BITS / 8) as u64;
         let mut plain = std::mem::take(&mut self.pending);
         costs::charge_hybrid_sort(ctx, plain.len() as u64, wb);
-        hybrid_sort_from(&mut plain, self.sort_level);
         costs::charge_accumulate(ctx, plain.len() as u64, wb);
-        let plain_counts: Vec<KmerCount<W>> = accumulate(&plain)
-            .into_iter()
-            .map(|(w, c)| KmerCount::new(w, c))
-            .collect();
+        let mut plain_counts: Vec<KmerCount<W>> = Vec::new();
+        sort_count(&mut plain, |w, c| plain_counts.push(KmerCount::new(w, c)));
 
         let mut pairs = std::mem::take(&mut self.pending_pairs);
         costs::charge_hybrid_sort(ctx, pairs.len() as u64, wb + 4);
@@ -214,9 +206,7 @@ impl<W: KmerWord + RadixKey> Program for OverlapPeProgram<W> {
                     // *during* phase 1 — that closing is the overlap.
                     let share = ctx.machine().cache_bytes / ctx.machine().pes_per_node;
                     let threshold = (share / (2 * (W::BITS as usize / 8))).clamp(1024, 4096);
-                    let mut store = SortedRunStore::new(threshold);
-                    store.sort_level = top_byte_level(self.cfg.k);
-                    self.store = Some(store);
+                    self.store = Some(SortedRunStore::new(threshold));
                     return Step::Yield;
                 }
                 // Parse a batch.
@@ -301,13 +291,13 @@ pub fn count_kmers_sim_overlap<W: KmerWord + RadixKey>(
         })
         .collect();
     let report = Simulator::new(machine.clone()).run(programs)?;
-    let mut counts: Vec<KmerCount<W>> = Rc::try_unwrap(sink)
+    let per_pe: Vec<Vec<KmerCount<W>>> = Rc::try_unwrap(sink)
         .expect("sole owner")
         .into_inner()
         .into_iter()
-        .flat_map(|o| o.expect("published"))
+        .map(|o| o.expect("published"))
         .collect();
-    counts.sort_unstable_by_key(|c| c.kmer);
+    let counts = merge_disjoint_runs(per_pe);
     Ok(OverlapRun { counts, report })
 }
 

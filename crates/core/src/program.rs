@@ -24,12 +24,11 @@ use dakc_kmer::{
     KmerCount, KmerWord,
 };
 use dakc_sim::{Ctx, Program, Step};
-use dakc_sort::{accumulate, accumulate_weighted, hybrid_sort_from, lsd_radix_sort_by, RadixKey};
+use dakc_sort::{accumulate_weighted, lsd_radix_sort_by, sort_count, RadixKey};
 
 use crate::aggregate::{AggStats, Aggregator, ReceiveStore};
 use crate::config::DakcConfig;
 use crate::costs;
-use crate::threaded::top_byte_level;
 
 /// Everything a PE publishes when it finishes.
 #[derive(Debug, Clone)]
@@ -147,12 +146,9 @@ impl<W: KmerWord + RadixKey> DakcPeProgram<W> {
         // Sort + accumulate the plain stream (the bulk of the data).
         ctx.mem_alloc(plain.len() as u64 * word_bytes);
         costs::charge_hybrid_sort(ctx, plain.len() as u64, word_bytes);
-        hybrid_sort_from(&mut plain, top_byte_level(self.cfg.k));
         costs::charge_accumulate(ctx, plain.len() as u64, word_bytes);
-        let plain_counts: Vec<KmerCount<W>> = accumulate(&plain)
-            .into_iter()
-            .map(|(w, c)| KmerCount::new(w, c))
-            .collect();
+        let mut plain_counts: Vec<KmerCount<W>> = Vec::new();
+        sort_count(&mut plain, |w, c| plain_counts.push(KmerCount::new(w, c)));
 
         // Sort + accumulate the heavy pairs (small).
         costs::charge_hybrid_sort(ctx, pairs.len() as u64, word_bytes + 4);

@@ -17,13 +17,11 @@
 //!   **top radix byte**, so batches arrive pre-partitioned and phase 2
 //!   assembles each of the owner's ≤256 buckets with pure `memcpy`s;
 //! * an optional L3 stage pre-accumulates heavy hitters locally before
-//!   routing (into a reused scratch buffer), shipping `{k-mer, count}`
-//!   pairs instead of repeats;
-//! * after a phase barrier every owner drains its lanes, sorts each
-//!   cache-resident bucket independently ([`hybrid_sort_from`], which
-//!   skips the radix levels the partitioning already fixed), and folds the
-//!   result into `{k-mer, count}` records in one fused, capacity-reserved
-//!   sweep.
+//!   routing, shipping `{k-mer, count}` pairs instead of repeats;
+//! * after a phase barrier every owner drains its lanes and sorts and
+//!   counts each cache-resident bucket independently ([`sort_count`], which
+//!   finds the bits the partitioning left varying and emits a bucket's
+//!   `{k-mer, count}` records while it is still in cache).
 //!
 //! All synchronization is two `std::sync::Barrier` waits — the same
 //! synchronization structure as the distributed algorithm.
@@ -35,15 +33,13 @@ use std::time::{Duration, Instant};
 
 use dakc_io::ReadSet;
 use dakc_kmer::{
-    counts::merge_sorted_counts, extract_into, for_each_span, owner_pe, pack_span, unpack_spans,
-    CanonicalMode, KmerCount, KmerWord,
+    counts::{merge_disjoint_runs, merge_sorted_counts},
+    extract_into, for_each_span, owner_pe, pack_span, unpack_spans, CanonicalMode, KmerCount,
+    KmerWord,
 };
 use dakc_sim::telemetry::Event;
 use dakc_sim::{EventKind, FlowSampler};
-use dakc_sort::{
-    accumulate_into, accumulate_weighted, distinct_runs_estimate, hybrid_sort, hybrid_sort_from,
-    lsd_radix_sort_by, RadixKey,
-};
+use dakc_sort::{accumulate_weighted, lsd_radix_sort_by, sort_count, RadixKey};
 
 /// Result of a threaded run.
 #[derive(Debug, Clone)]
@@ -261,9 +257,6 @@ pub fn count_kmers_threaded_opts<W: KmerWord + RadixKey>(
                     (0..threads).map(|_| Vec::with_capacity(route_batch)).collect();
                 let mut pair_route: Vec<Vec<(W, u32)>> = vec![Vec::new(); threads];
                 let mut l3: Vec<W> = Vec::new();
-                // Reused accumulate scratch: the L3 drain allocates nothing
-                // at steady state.
-                let mut l3_acc: Vec<(W, u32)> = Vec::new();
                 let word_bytes = std::mem::size_of::<W>();
                 let mut sampler = FlowSampler::new(t as u32, trace_sample);
                 // Open flow per route buffer: (flow id, open time).
@@ -336,7 +329,6 @@ pub fn count_kmers_threaded_opts<W: KmerWord + RadixKey>(
                         .expect("owner holds its receivers past the barrier");
                 };
                 let drain_l3 = |l3: &mut Vec<W>,
-                                l3_acc: &mut Vec<(W, u32)>,
                                 route: &mut [Vec<W>],
                                 pair_route: &mut [Vec<(W, u32)>],
                                 route_flow: &mut [Option<(u64, f64)>],
@@ -346,9 +338,7 @@ pub fn count_kmers_threaded_opts<W: KmerWord + RadixKey>(
                         occupancy: l3.len() as u32,
                         cap: l3_buffer.unwrap_or(l3.len()) as u32,
                     });
-                    hybrid_sort(l3.as_mut_slice());
-                    accumulate_into(l3, l3_acc);
-                    for &(w, c) in l3_acc.iter() {
+                    sort_count(l3, |w, c| {
                         let owner = owner_pe(w, threads);
                         if c > 2 {
                             pair_route[owner].push((w, c));
@@ -361,7 +351,7 @@ pub fn count_kmers_threaded_opts<W: KmerWord + RadixKey>(
                                 }
                             }
                         }
-                    }
+                    });
                     l3.clear();
                 };
 
@@ -423,7 +413,6 @@ pub fn count_kmers_threaded_opts<W: KmerWord + RadixKey>(
                                     if l3.len() >= c3 {
                                         drain_l3(
                                             &mut l3,
-                                            &mut l3_acc,
                                             &mut route,
                                             &mut pair_route,
                                             &mut route_flow,
@@ -436,7 +425,6 @@ pub fn count_kmers_threaded_opts<W: KmerWord + RadixKey>(
                             if !l3.is_empty() {
                                 drain_l3(
                                     &mut l3,
-                                    &mut l3_acc,
                                     &mut route,
                                     &mut pair_route,
                                     &mut route_flow,
@@ -476,16 +464,8 @@ pub fn count_kmers_threaded_opts<W: KmerWord + RadixKey>(
                 record(&mut ev, EventKind::Phase { phase: 1 });
 
                 // --- Phase 2: drain lanes, bucket, sort, accumulate ---
-                let mut batches: Vec<RouteBatch<W>> = Vec::new();
-                let mut bucket_totals = [0usize; 256];
-                for rx in &wrx {
-                    for batch in rx.try_iter() {
-                        for (tot, &c) in bucket_totals.iter_mut().zip(batch.counts.iter()) {
-                            *tot += c as usize;
-                        }
-                        batches.push(batch);
-                    }
-                }
+                let batches: Vec<RouteBatch<W>> =
+                    wrx.iter().flat_map(|rx| rx.try_iter()).collect();
                 // Close sampled flows: the lane drain is the consume
                 // point, so drain residency is barrier-exit → now.
                 if ev.is_some() {
@@ -508,74 +488,47 @@ pub fn count_kmers_threaded_opts<W: KmerWord + RadixKey>(
                     }
                 }
 
-                // Assemble the partition bucket by bucket: every batch is
-                // already scattered by top byte, so placement is one
-                // `copy_from_slice` per (batch, bucket) run.
-                let total: usize = bucket_totals.iter().sum();
-                let mut starts = [0usize; 256];
-                let mut sum = 0usize;
-                for (s0, &c) in starts.iter_mut().zip(bucket_totals.iter()) {
-                    *s0 = sum;
-                    sum += c;
-                }
-                let mut cursor = starts;
-                let mut mine = vec![W::zero(); total];
-                for batch in &batches {
-                    let mut off = 0usize;
-                    for (bk, &c) in batch.counts.iter().enumerate() {
-                        let c = c as usize;
-                        if c > 0 {
-                            mine[cursor[bk]..cursor[bk] + c]
-                                .copy_from_slice(&batch.words[off..off + c]);
-                            cursor[bk] += c;
-                            off += c;
-                        }
+                // Gather, sort and count one bucket at a time, each while
+                // it is in cache: every batch is already scattered by top
+                // byte, so a bucket is one `extend_from_slice` per batch
+                // and the partition is never assembled in memory.
+                // Concatenated buckets are globally sorted because the
+                // bucket byte is the most significant in-window byte, and
+                // runs never span buckets — equal words share one.
+                let mut plain: Vec<KmerCount<W>> = Vec::new();
+                let mut count = |words: &mut [W]| {
+                    sort_count(words, |w, c| plain.push(KmerCount::new(w, c)))
+                };
+                let mut bucket: Vec<W> = Vec::new();
+                let mut taken = vec![0usize; batches.len()];
+                for bk in 0..256 {
+                    bucket.clear();
+                    for (batch, off) in batches.iter().zip(taken.iter_mut()) {
+                        let c = batch.counts[bk] as usize;
+                        bucket.extend_from_slice(&batch.words[*off..*off + c]);
+                        *off += c;
                     }
+                    count(&mut bucket);
                 }
                 drop(batches);
 
-                // Sort each cache-resident bucket; concatenated buckets
-                // are globally sorted because the bucket byte is the most
-                // significant in-window byte. At bucket_level 0 the bucket
-                // byte is the whole key, so buckets are constant already.
-                if bucket_level > 0 {
-                    for bk in 0..256 {
-                        let (lo, hi) = (starts[bk], cursor[bk]);
-                        if hi - lo > 1 {
-                            hybrid_sort_from(&mut mine[lo..hi], bucket_level - 1);
-                        }
-                    }
-                }
-
                 // Span lanes replace the word lanes in superkmer mode: the
                 // word drain above saw nothing, so expand the received
-                // spans into k-mer words here and sort the whole partition
-                // (spans arrive unscattered — there is no top-byte
-                // pre-partition to exploit).
+                // spans into k-mer words here and count the whole
+                // partition (spans arrive unscattered — there is no
+                // top-byte pre-partition to exploit).
                 if superkmer.is_some() {
                     let canon = canonical == CanonicalMode::Canonical;
+                    bucket.clear();
                     for rx in &srx {
                         for buf in rx.try_iter() {
-                            unpack_spans(&buf, k, canon, &mut mine)
+                            unpack_spans(&buf, k, canon, &mut bucket)
                                 .expect("in-process span lanes are lossless");
                         }
                     }
-                    hybrid_sort(&mut mine);
+                    count(&mut bucket);
                 }
-
-                // Fused accumulate: fold the sorted partition straight
-                // into output records, capacity reserved from a sampled
-                // distinct-run estimate (runs never span buckets — equal
-                // words share a bucket).
-                let mut plain: Vec<KmerCount<W>> =
-                    Vec::with_capacity(distinct_runs_estimate(&mine));
-                for &w in &mine {
-                    match plain.last_mut() {
-                        Some(c) if c.kmer == w => c.count = c.count.saturating_add(1),
-                        _ => plain.push(KmerCount::new(w, 1)),
-                    }
-                }
-                drop(mine);
+                drop(bucket);
 
                 let mut pairs: Vec<(W, u32)> = Vec::new();
                 for rx in &prx {
@@ -596,11 +549,11 @@ pub fn count_kmers_threaded_opts<W: KmerWord + RadixKey>(
         }
     });
 
-    let mut counts: Vec<KmerCount<W>> = outputs
+    let runs: Vec<Vec<KmerCount<W>>> = outputs
         .iter()
-        .flat_map(|m| m.lock().unwrap().take().expect("every worker published"))
+        .map(|m| m.lock().unwrap().take().expect("every worker published"))
         .collect();
-    counts.sort_unstable_by_key(|c| c.kmer);
+    let counts = merge_disjoint_runs(runs);
 
     let trace = trace.then(|| {
         traces

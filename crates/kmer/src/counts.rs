@@ -64,6 +64,23 @@ pub fn merge_sorted_counts<W: KmerWord>(
     out
 }
 
+/// Merges sorted count runs whose k-mer sets are disjoint — one per owner
+/// PE, thread, rank or bin — into the one sorted table. `std`'s stable sort
+/// is a natural merge sort: it finds the ascending runs of the
+/// concatenation and merges them in `O(n log runs)`, where sorting from
+/// scratch would not look at them. Each run is freed as soon as it is
+/// copied, so the peak is the table plus the merge's half-table scratch.
+pub fn merge_disjoint_runs<W: KmerWord>(runs: Vec<Vec<KmerCount<W>>>) -> Vec<KmerCount<W>> {
+    let mut out = Vec::with_capacity(runs.iter().map(Vec::len).sum());
+    for run in runs {
+        debug_assert!(is_sorted_strict(&run), "run not strictly sorted");
+        out.extend_from_slice(&run);
+    }
+    out.sort_by_key(|c| c.kmer);
+    debug_assert!(is_sorted_strict(&out), "runs shared a k-mer");
+    out
+}
+
 /// `true` if entries are strictly increasing by k-mer (no duplicates).
 pub fn is_sorted_strict<W: KmerWord>(counts: &[KmerCount<W>]) -> bool {
     counts.windows(2).all(|w| w[0].kmer < w[1].kmer)
@@ -208,6 +225,25 @@ mod tests {
         let a = vec![kc(1, 1)];
         assert_eq!(merge_sorted_counts(&a, &[]), a);
         assert_eq!(merge_sorted_counts(&[], &a), a);
+    }
+
+    #[test]
+    fn disjoint_runs_merge_like_concat_and_sort() {
+        // 1..8 runs, some empty: deal 0..400 out by a hash, leave every
+        // third run empty.
+        for nruns in 1..=8usize {
+            let mut runs: Vec<Vec<KmerCount<u64>>> = vec![Vec::new(); nruns];
+            for x in 0..400u64 {
+                let r = (x.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 60) as usize % nruns;
+                if r % 3 != 2 {
+                    runs[r].push(kc(x, x as u32 + 1));
+                }
+            }
+            let mut expect: Vec<KmerCount<u64>> = runs.concat();
+            expect.sort_unstable_by_key(|c| c.kmer);
+            assert_eq!(merge_disjoint_runs(runs), expect, "{nruns} runs");
+        }
+        assert!(merge_disjoint_runs::<u64>(Vec::new()).is_empty());
     }
 
     #[test]

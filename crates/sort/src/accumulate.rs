@@ -1,17 +1,13 @@
 //! The `Accumulate` sweep of Algorithm 1.
 //!
 //! Sweeps a *sorted* array once, emitting `{value, run length}` pairs. The
-//! weighted variant consumes `{value, count}` pairs sorted by value —
-//! exactly what the owner PE receives on the L3 HEAVY channel, where
-//! senders pre-accumulated their local heavy hitters.
+//! engines' phase 2 runs this sweep fused into the sort
+//! ([`crate::sort_count`]); the weighted variant consumes `{value, count}`
+//! pairs sorted by value — exactly what the owner PE receives on the L3
+//! HEAVY channel, where senders pre-accumulated their local heavy hitters.
 //!
-//! Two allocation disciplines are offered: the owning functions
-//! ([`accumulate`], [`accumulate_weighted`]) reserve output capacity from a
-//! sampled distinct-run estimate so the output vector is sized in one
-//! allocation, and the `_into` variants ([`accumulate_into`],
-//! [`accumulate_weighted_into`]) refill a caller-owned buffer so hot loops
-//! (the threaded engine's L3 drain runs once per `C3` k-mers) allocate
-//! nothing at steady state.
+//! Output capacity is reserved from a sampled distinct-run estimate so the
+//! output vector is sized in one allocation.
 
 /// Estimates the number of distinct runs in a sorted slice by sampling up
 /// to 512 adjacent pairs at a fixed stride and extrapolating the boundary
@@ -47,57 +43,32 @@ pub fn distinct_runs_estimate<T: Ord>(sorted: &[T]) -> usize {
 ///
 /// Debug builds panic if `sorted` is not ascending.
 pub fn accumulate<T: Ord + Copy>(sorted: &[T]) -> Vec<(T, u32)> {
-    let mut out: Vec<(T, u32)> = Vec::with_capacity(distinct_runs_estimate(sorted));
-    accumulate_append(sorted, &mut out);
-    out
-}
-
-/// [`accumulate`] into a caller-owned buffer: clears `out` and refills it,
-/// reusing its capacity. The allocation-free path for per-flush sweeps.
-pub fn accumulate_into<T: Ord + Copy>(sorted: &[T], out: &mut Vec<(T, u32)>) {
-    out.clear();
-    accumulate_append(sorted, out);
-}
-
-fn accumulate_append<T: Ord + Copy>(sorted: &[T], out: &mut Vec<(T, u32)>) {
     debug_assert!(sorted.windows(2).all(|w| w[0] <= w[1]), "input must be sorted");
+    let mut out: Vec<(T, u32)> = Vec::with_capacity(distinct_runs_estimate(sorted));
     for &v in sorted {
         match out.last_mut() {
             Some((last, c)) if *last == v => *c = c.saturating_add(1),
             _ => out.push((v, 1)),
         }
     }
+    out
 }
 
 /// Collapses `(value, count)` pairs sorted by value, summing counts of
 /// equal values (saturating).
 pub fn accumulate_weighted<T: Ord + Copy>(sorted_pairs: &[(T, u32)]) -> Vec<(T, u32)> {
-    let mut out: Vec<(T, u32)> = Vec::with_capacity(distinct_runs_estimate(sorted_pairs));
-    accumulate_weighted_append(sorted_pairs, &mut out);
-    out
-}
-
-/// [`accumulate_weighted`] into a caller-owned buffer: clears `out` and
-/// refills it, reusing its capacity.
-pub fn accumulate_weighted_into<T: Ord + Copy>(
-    sorted_pairs: &[(T, u32)],
-    out: &mut Vec<(T, u32)>,
-) {
-    out.clear();
-    accumulate_weighted_append(sorted_pairs, out);
-}
-
-fn accumulate_weighted_append<T: Ord + Copy>(sorted_pairs: &[(T, u32)], out: &mut Vec<(T, u32)>) {
     debug_assert!(
         sorted_pairs.windows(2).all(|w| w[0].0 <= w[1].0),
         "input must be sorted by value"
     );
+    let mut out: Vec<(T, u32)> = Vec::with_capacity(distinct_runs_estimate(sorted_pairs));
     for &(v, c) in sorted_pairs {
         match out.last_mut() {
             Some((last, total)) if *last == v => *total = total.saturating_add(c),
             _ => out.push((v, c)),
         }
     }
+    out
 }
 
 #[cfg(test)]
@@ -145,23 +116,6 @@ mod tests {
         let v = [3u64, 3, 3, 7, 9, 9];
         let total: u64 = accumulate(&v).iter().map(|&(_, c)| c as u64).sum();
         assert_eq!(total, v.len() as u64);
-    }
-
-    #[test]
-    fn into_variants_reuse_buffer() {
-        let mut buf: Vec<(u64, u32)> = Vec::new();
-        accumulate_into(&[1, 1, 2], &mut buf);
-        assert_eq!(buf, vec![(1, 2), (2, 1)]);
-        let cap = buf.capacity();
-        accumulate_into(&[7, 7], &mut buf);
-        assert_eq!(buf, vec![(7, 2)]);
-        assert_eq!(buf.capacity(), cap, "refill must not reallocate");
-
-        let mut wbuf: Vec<(u64, u32)> = Vec::new();
-        accumulate_weighted_into(&[(1, 2), (1, 3), (4, 1)], &mut wbuf);
-        assert_eq!(wbuf, vec![(1, 5), (4, 1)]);
-        accumulate_weighted_into(&[], &mut wbuf);
-        assert!(wbuf.is_empty());
     }
 
     #[test]

@@ -7,18 +7,22 @@
 //! * [`lsd`] — least-significant-digit radix sort (the `Θ(mn)` workhorse of
 //!   KMC3, HySortK, PakMan\* and DAKC), for any [`RadixKey`] and for
 //!   arbitrary records via a key extractor.
-//! * [`msd`] — in-place most-significant-digit ("American flag") radix sort.
-//! * [`hybrid`] — the ska-sort-style hybrid the paper cites ([47]): MSD
-//!   radix with a comparison-sort fallback heuristic for small buckets and a
-//!   pre-pass that skips already-sorted input (the behaviour §V-A relies on
-//!   when the model over-predicts phase-2 cache misses).
+//! * [`msd`] — in-place most-significant-digit ("American flag") radix
+//!   sort, the Fig 6 comparator.
+//! * [`hybrid`] — phase 2 as the cost model charges for it (paper §V,
+//!   sorter [47]): sorted input returns after one read, anything larger
+//!   than L1 is radix-partitioned out of place by the top 8 bits that vary,
+//!   L1-sized buckets are finished by the comparison sort, and
+//!   [`sort_count`] emits each bucket's `{key, run length}` runs while it
+//!   is still in cache. Every counting engine's phase 2 is this kernel.
 //! * [`parallel`] — multi-threaded radix sort on scoped threads
 //!   (the intra-node hybrid parallelism of HySortK and KMC3).
 //! * [`quicksort`] — a classic median-of-three quicksort: the sort used by
 //!   the *original* PakMan kernel, kept as a baseline so Figure 6's
 //!   "radix sort makes PakMan ≈2× faster" experiment can be rerun.
-//! * [`accumulate`] — the `Accumulate` sweep of Algorithm 1, plus the
-//!   weighted variant the L3 heavy-hitter path needs.
+//! * [`accumulate`] — the `Accumulate` sweep of Algorithm 1 on its own
+//!   (fused into the sort by [`sort_count`]), plus the weighted variant the
+//!   L3 heavy-hitter path needs.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -30,54 +34,59 @@ pub mod msd;
 pub mod parallel;
 pub mod quicksort;
 
-pub use accumulate::{
-    accumulate, accumulate_into, accumulate_weighted, accumulate_weighted_into,
-    distinct_runs_estimate,
-};
-pub use hybrid::{hybrid_sort, hybrid_sort_from};
+pub use accumulate::{accumulate, accumulate_weighted, distinct_runs_estimate};
+pub use hybrid::{hybrid_sort, hybrid_sort_from, in_cache_keys, sort_count, IN_CACHE_BYTES};
 pub use lsd::{lsd_radix_sort, lsd_radix_sort_by};
 pub use msd::msd_radix_sort;
 pub use parallel::parallel_radix_sort;
 pub use quicksort::quicksort;
 
+use std::ops::{BitOr, BitXor};
+
 /// A fixed-width unsigned key that radix sorts can digit-decompose.
 ///
 /// `LEVELS` is the number of 8-bit digits; `radix_at(0)` is the *least*
-/// significant byte.
-pub trait RadixKey: Copy + Ord + Send + Sync + 'static {
+/// significant byte. `Default` is the all-zero key.
+pub trait RadixKey:
+    Copy + Ord + Default + BitXor<Output = Self> + BitOr<Output = Self> + Send + Sync + 'static
+{
     /// Number of 8-bit digit levels in the key.
     const LEVELS: usize;
 
     /// The 8-bit digit at `level` (0 = least significant).
     fn radix_at(self, level: usize) -> u8;
+
+    /// The 8 bits starting at bit `shift` (0 = least significant): a digit
+    /// that need not be byte-aligned. `shift` is below the key's width.
+    fn bits_at(self, shift: u32) -> u8;
+
+    /// One past the index of the highest set bit; 0 for the zero key.
+    fn bit_len(self) -> u32;
 }
 
-impl RadixKey for u32 {
-    const LEVELS: usize = 4;
+macro_rules! radix_key {
+    ($($t:ty),*) => {$(
+        impl RadixKey for $t {
+            const LEVELS: usize = std::mem::size_of::<$t>();
 
-    #[inline]
-    fn radix_at(self, level: usize) -> u8 {
-        (self >> (8 * level)) as u8
-    }
+            #[inline]
+            fn radix_at(self, level: usize) -> u8 {
+                (self >> (8 * level)) as u8
+            }
+
+            #[inline]
+            fn bits_at(self, shift: u32) -> u8 {
+                (self >> shift) as u8
+            }
+
+            #[inline]
+            fn bit_len(self) -> u32 {
+                <$t>::BITS - self.leading_zeros()
+            }
+        }
+    )*};
 }
-
-impl RadixKey for u64 {
-    const LEVELS: usize = 8;
-
-    #[inline]
-    fn radix_at(self, level: usize) -> u8 {
-        (self >> (8 * level)) as u8
-    }
-}
-
-impl RadixKey for u128 {
-    const LEVELS: usize = 16;
-
-    #[inline]
-    fn radix_at(self, level: usize) -> u8 {
-        (self >> (8 * level)) as u8
-    }
-}
+radix_key!(u32, u64, u128);
 
 #[cfg(test)]
 mod tests {

@@ -1,9 +1,11 @@
 //! In-place MSD ("American flag") radix sort.
 //!
 //! Partitions by the most significant digit using cycle-chasing swaps (no
-//! scratch buffer), then recurses into each bucket. This is the in-place
-//! radix sort the paper's hybrid sorter (§V, [47]) starts with; the paper's
-//! phase-2 model assumes its worst case of one pass per key byte.
+//! scratch buffer), then recurses into each bucket: one pass per key byte,
+//! the worst case the paper's phase-2 model assumes. Kept as a comparator
+//! (Fig 6, the `kernels` bench): out of cache the swap chain is one
+//! dependent miss per key, which is why [`crate::hybrid`] partitions out
+//! of place instead.
 
 use crate::RadixKey;
 

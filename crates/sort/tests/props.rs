@@ -2,14 +2,86 @@
 //! faithful histogram.
 
 use dakc_sort::{
-    accumulate, accumulate_into, accumulate_weighted, accumulate_weighted_into,
-    distinct_runs_estimate, hybrid_sort, hybrid_sort_from, lsd_radix_sort, lsd_radix_sort_by,
-    msd_radix_sort, parallel_radix_sort, quicksort, RadixKey,
+    accumulate, accumulate_weighted, distinct_runs_estimate, hybrid_sort, hybrid_sort_from,
+    in_cache_keys, lsd_radix_sort, lsd_radix_sort_by, msd_radix_sort, parallel_radix_sort,
+    quicksort, sort_count, RadixKey,
 };
 use proptest::prelude::*;
 use std::collections::HashMap;
 
+/// `sort_count` must emit exactly what `sort_unstable` + `accumulate` do.
+fn sort_count_matches<K: RadixKey + std::fmt::Debug>(v: &[K]) {
+    let mut expect = v.to_vec();
+    expect.sort_unstable();
+    let mut counted = Vec::new();
+    sort_count(&mut v.to_vec(), |k, c| counted.push((k, c)));
+    assert_eq!(counted, accumulate(&expect));
+}
+
+/// Lengths on both sides of the out-of-place bound for `K`, up to 4× it.
+fn around_bound<K>() -> impl Strategy<Value = usize> {
+    let bound = in_cache_keys::<K>();
+    prop::sample::select(vec![0, 1, 2, 7, bound - 1, bound, bound + 1, 2 * bound + 5, 4 * bound])
+}
+
+/// `n` keys drawn from `distinct` random values of `bits` bits: duplicated,
+/// and with every bit above the window constant (zero).
+fn keys(n: usize, distinct: usize, bits: u32, seed: u64) -> Vec<u128> {
+    let mut x = seed | 1;
+    let mut next = || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x
+    };
+    let pool: Vec<u128> = (0..distinct.max(1))
+        .map(|_| ((next() as u128) << 64 | next() as u128) >> (128 - bits))
+        .collect();
+    (0..n).map(|_| pool[next() as usize % pool.len()]).collect()
+}
+
 proptest! {
+    #[test]
+    fn sort_count_matches_std_u32(n in around_bound::<u32>(), dup in 1usize..20, bits in 1u32..=32, seed in any::<u64>()) {
+        let v: Vec<u32> = keys(n, n / dup, bits, seed).iter().map(|&x| x as u32).collect();
+        sort_count_matches(&v);
+    }
+
+    #[test]
+    fn sort_count_matches_std_u64(n in around_bound::<u64>(), dup in 1usize..20, bits in 1u32..=64, seed in any::<u64>()) {
+        let v: Vec<u64> = keys(n, n / dup, bits, seed).iter().map(|&x| x as u64).collect();
+        sort_count_matches(&v);
+    }
+
+    #[test]
+    fn sort_count_matches_std_u128(n in around_bound::<u128>(), dup in 1usize..20, bits in 1u32..=128, seed in any::<u64>()) {
+        sort_count_matches(&keys(n, n / dup, bits, seed));
+    }
+
+    #[test]
+    fn sort_count_with_a_dominant_key(n in around_bound::<u64>(), share in 50usize..100, seed in any::<u64>()) {
+        // One key holds `share` % of the slice, the (AATGG)n shape.
+        let mut v: Vec<u64> = keys(n, n, 62, seed).iter().map(|&x| x as u64).collect();
+        for (i, x) in v.iter_mut().enumerate() {
+            if i % 100 < share {
+                *x = 0x0303_0202_0000;
+            }
+        }
+        sort_count_matches(&v);
+    }
+
+    #[test]
+    fn hybrid_from_every_level(n in around_bound::<u64>(), level in 0usize..8, hi in any::<u64>(), seed in any::<u64>()) {
+        // Keys agree above digit `level`, so sorting may start there.
+        let low = 8 * (level as u32 + 1);
+        let prefix = if low == 64 { 0 } else { hi >> low << low };
+        let mut v: Vec<u64> = keys(n, n, low, seed).iter().map(|&x| prefix | x as u64).collect();
+        let mut expect = v.clone();
+        expect.sort_unstable();
+        hybrid_sort_from(&mut v, level);
+        prop_assert_eq!(v, expect);
+    }
+
     #[test]
     fn lsd_matches_std(mut v in prop::collection::vec(any::<u64>(), 0..2000)) {
         let mut expect = v.clone();
@@ -104,24 +176,6 @@ proptest! {
         }
         let plain = accumulate(&expanded);
         prop_assert_eq!(weighted, plain);
-    }
-
-    #[test]
-    fn accumulate_into_matches_owning(v in prop::collection::vec(0u64..50, 0..2000)) {
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        let mut buf: Vec<(u64, u32)> = vec![(99, 99); 7]; // stale content must be cleared
-        accumulate_into(&sorted, &mut buf);
-        prop_assert_eq!(buf, accumulate(&sorted));
-    }
-
-    #[test]
-    fn accumulate_weighted_into_matches_owning(pairs in prop::collection::vec((0u64..20, 1u32..5), 0..300)) {
-        let mut sorted = pairs.clone();
-        sorted.sort_unstable_by_key(|p| p.0);
-        let mut buf: Vec<(u64, u32)> = vec![(1, 1)];
-        accumulate_weighted_into(&sorted, &mut buf);
-        prop_assert_eq!(buf, accumulate_weighted(&sorted));
     }
 
     #[test]

@@ -2,14 +2,15 @@
 //! serial reference, the threaded engines, the simulated DAKC, and every
 //! BSP baseline — must produce the identical histogram on identical input.
 
-use dakc::{count_kmers_sim, count_kmers_threaded, DakcConfig};
+use dakc::{count_kmers_loopback, count_kmers_sim, count_kmers_threaded, DakcConfig};
 use dakc_baselines::{
     count_kmers_bsp_sim, count_kmers_bsp_threaded, count_kmers_kmc3, count_kmers_serial,
     BspConfig, Kmc3Config, SortBackend,
 };
 use dakc_io::{generate_genome, simulate_reads, GenomeSpec, ReadSet, ReadSimConfig, RepeatProfile};
-use dakc_kmer::{CanonicalMode, KmerCount};
+use dakc_kmer::{kmers_of_read, CanonicalMode, KmerCount, KmerWord};
 use dakc_sim::MachineConfig;
+use dakc_sort::RadixKey;
 
 fn workload(seed: u64, skewed: bool) -> ReadSet {
     let repeats = skewed.then(|| RepeatProfile::aatgg(0.15));
@@ -150,6 +151,45 @@ fn engines_agree_for_u128_large_k() {
 
     let bsp = count_kmers_bsp_sim::<u128>(&reads, &BspConfig::pakman_star(k), &machine).unwrap();
     assert_eq!(bsp.counts, want, "BSP u128");
+}
+
+/// Every engine against a `BTreeMap` count of the same k-mers, on skewed
+/// reads whose per-owner arrays are well above the phase-2 kernel's
+/// out-of-place bound.
+fn agree_with_a_map<W: KmerWord + RadixKey + std::fmt::Debug>(k: usize) {
+    let reads = workload(6, true);
+    let mut map = std::collections::BTreeMap::<W, u32>::new();
+    for r in reads.iter() {
+        for w in kmers_of_read::<W>(r, k, CanonicalMode::Canonical) {
+            *map.entry(w).or_default() += 1;
+        }
+    }
+    let want: Vec<KmerCount<W>> = map.into_iter().map(|(w, c)| KmerCount::new(w, c)).collect();
+    assert!(reads.total_kmers(k) > 8 * dakc_sort::in_cache_keys::<W>());
+
+    let serial = count_kmers_serial::<W>(&reads, k, CanonicalMode::Canonical, false);
+    assert_eq!(serial.counts, want, "serial k={k}");
+    let threaded = count_kmers_threaded::<W>(&reads, k, CanonicalMode::Canonical, 2, Some(512));
+    assert_eq!(threaded.counts, want, "threaded + L3 k={k}");
+    let mut cfg = DakcConfig::scaled_defaults(k);
+    cfg.canonical = CanonicalMode::Canonical;
+    let sim = count_kmers_sim::<W>(&reads, &cfg, &MachineConfig::test_machine(1, 2)).unwrap();
+    assert_eq!(sim.counts, want, "sim k={k}");
+    let net = count_kmers_loopback::<W>(&reads, &cfg.with_superkmer(7), 2).unwrap();
+    assert_eq!(net.counts, want, "loopback spans k={k}");
+    let kmc3 = count_kmers_kmc3::<W>(
+        &reads,
+        &Kmc3Config { canonical: CanonicalMode::Canonical, ..Kmc3Config::defaults(k, 2) },
+    );
+    assert_eq!(kmc3.counts, want, "KMC3 k={k}");
+}
+
+/// k = 32 fills every bit of a `u64`; k = 33 is a 66-bit window that
+/// straddles the two halves of a `u128`.
+#[test]
+fn engines_agree_at_the_word_boundary() {
+    agree_with_a_map::<u64>(32);
+    agree_with_a_map::<u128>(33);
 }
 
 #[test]
