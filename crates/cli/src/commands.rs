@@ -2,15 +2,16 @@
 
 use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, IsTerminal, Write};
+use std::path::Path;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dakc::{
     count_kmers_loopback_opts, count_kmers_sim, count_kmers_sim_traced, count_kmers_threaded_opts,
-    run_rank_opts, DakcConfig, NetRun, RunOpts, ThreadedOpts,
+    run_rank_on, DakcConfig, NetRun, RunOpts, ThreadedOpts,
 };
-use dakc_io::{fastx, ReadSet};
+use dakc_io::{fastx, FastxError, ReadSet, TsvWriter};
 use dakc_kmer::{CanonicalMode, KmerWord};
 use dakc_model::{CommModel, Model, Workload};
 use dakc_net::{
@@ -50,24 +51,31 @@ pub fn dispatch(cmd: Command) -> Result<(), String> {
     }
 }
 
-/// Loads reads from a FASTA or FASTQ file (sniffed from the first byte).
-pub fn load_reads(path: &str) -> Result<ReadSet, String> {
-    let f = File::open(path).map_err(|e| format!("{path}: {e}"))?;
-    let mut reader = BufReader::new(f);
-    let first = {
-        let buf = reader.fill_buf().map_err(|e| e.to_string())?;
-        buf.first().copied()
-    };
-    let records = match first {
-        Some(b'>') => fastx::parse_fasta(reader).map_err(|e| e.to_string())?,
-        Some(b'@') => fastx::parse_fastq(reader).map_err(|e| e.to_string())?,
-        _ => return Err(format!("{path}: not FASTA or FASTQ")),
-    };
-    let mut rs = ReadSet::with_capacity(records.len(), records.iter().map(|r| r.seq.len()).sum());
-    for r in &records {
-        rs.push(&r.seq);
-    }
-    Ok(rs)
+/// Loads reads from a FASTA or FASTQ file (sniffed from the first byte),
+/// its `threads` byte-range slices parsed on as many threads.
+pub fn load_reads(path: &str, threads: usize) -> Result<ReadSet, FastxError> {
+    dakc_io::load(Path::new(path), threads)
+}
+
+/// Prefixes an input error with the file it came from.
+pub(crate) fn in_file(path: &str) -> impl Fn(FastxError) -> String + '_ {
+    move |e| format!("{path}: {e}")
+}
+
+/// Loads rank `rank`'s byte-range slice of the input: every read in it is
+/// that rank's own, and a respawned incarnation loads the very same reads.
+/// A malformed slice is this rank's fault: `obituary` tells the supervisor
+/// so before the error (`rank R: FILE: byte N: …`) goes out.
+pub(crate) fn load_rank_slice(
+    path: &str,
+    rank: usize,
+    ranks: usize,
+    obituary: impl FnOnce(Option<usize>),
+) -> Result<ReadSet, String> {
+    dakc_io::load_slice(Path::new(path), rank, ranks).map_err(|e| {
+        obituary(Some(rank));
+        format!("rank {rank}: {path}: {e}")
+    })
 }
 
 pub(crate) fn out_writer(path: &Option<String>) -> Result<Box<dyn Write>, String> {
@@ -86,14 +94,13 @@ pub fn write_counts<W: KmerWord>(
     k: usize,
     min_count: u32,
 ) -> Result<u64, String> {
+    let mut tsv = TsvWriter::new(out, k);
     let mut written = 0u64;
-    for c in counts {
-        if c.count >= min_count {
-            writeln!(out, "{}\t{}", c.kmer.to_dna_string(k), c.count)
-                .map_err(|e| e.to_string())?;
-            written += 1;
-        }
+    for c in counts.iter().filter(|c| c.count >= min_count) {
+        tsv.record(c.kmer, Some(c.count)).map_err(|e| e.to_string())?;
+        written += 1;
     }
+    tsv.finish().map_err(|e| e.to_string())?;
     Ok(written)
 }
 
@@ -176,7 +183,7 @@ fn write_count_shard<W: KmerWord>(
 }
 
 fn count(a: CountArgs) -> Result<(), String> {
-    let reads = load_reads(&a.input)?;
+    let reads = load_reads(&a.input, a.threads).map_err(in_file(&a.input))?;
     let mode = if a.canonical {
         CanonicalMode::Canonical
     } else {
@@ -600,14 +607,14 @@ pub(crate) fn supervise(
                 age.as_secs_f64()
             ));
         }
-        std::thread::sleep(Duration::from_millis(15));
+        std::thread::sleep(Duration::from_millis(2));
     }
 }
 
 fn launch(a: LaunchArgs) -> Result<(), String> {
     match a.backend {
         NetBackend::Loopback => {
-            let reads = load_reads(&a.input)?;
+            let reads = load_reads(&a.input, a.ranks).map_err(in_file(&a.input))?;
             let cfg = net_config(&a);
             if a.k <= 32 {
                 launch_loopback::<u64>(&reads, &cfg, &a)
@@ -616,8 +623,9 @@ fn launch(a: LaunchArgs) -> Result<(), String> {
             }
         }
         NetBackend::Tcp => {
-            // Fail on an unreadable input before spawning N processes.
-            load_reads(&a.input)?;
+            // Fail on an unreadable input before spawning N processes; each
+            // rank parses its own slice, the launcher none of it.
+            dakc_io::sniff(Path::new(&a.input)).map_err(in_file(&a.input))?;
             let tuning = net_tuning(&a);
             let exe = std::env::current_exe().map_err(|e| e.to_string())?;
             let dir = std::env::temp_dir().join(format!("dakc-rendezvous-{}", std::process::id()));
@@ -750,19 +758,23 @@ fn worker(w: WorkerArgs) -> Result<(), String> {
         }
         None => None,
     };
-    let reads = load_reads(&a.input)?;
     let cfg = net_config(a);
-    // On a net error, file an obituary with the supervisor before exiting:
+    // On an error, file an obituary with the supervisor before exiting:
     // the typed error names the rank at fault (ourselves for an injected
-    // death, the peer for a disconnect), and the launcher tallies those
-    // verdicts to blame the root cause rather than the first victim.
+    // death or a malformed input slice, the peer for a disconnect), and
+    // the launcher tallies those verdicts to blame the root cause rather
+    // than the first victim.
     let epoch = w.epoch;
-    let fail = move |e: dakc_net::NetError| {
+    let obituary = move |blame: Option<usize>| {
         if let Some(addr) = sup_addr {
-            let _ = dakc_net::send_obituary_inc(addr, rank, e.rank(), epoch);
+            let _ = dakc_net::send_obituary_inc(addr, rank, blame, epoch);
         }
+    };
+    let fail = move |e: dakc_net::NetError| {
+        obituary(e.rank());
         format!("rank {rank}: {e}")
     };
+    let reads = load_rank_slice(&a.input, rank, a.ranks, obituary)?;
     // Under `--recover` the transport keeps its listener after the mesh
     // is up, tags control frames with this incarnation, and survives
     // peer death; without it the plain rendezvous keeps PR-compatible
@@ -803,12 +815,15 @@ fn worker(w: WorkerArgs) -> Result<(), String> {
         trace: a.trace.is_some(),
         recover: a.recover,
     };
+    let mine = 0..reads.len();
     if a.k <= 32 {
-        if let Some(run) = run_rank_opts::<u64, _>(&reads, &cfg, transport, &opts).map_err(fail)? {
+        if let Some(run) =
+            run_rank_on::<u64, _>(&reads, mine, &cfg, transport, &opts).map_err(fail)?
+        {
             emit_net_run(&run, a)?;
         }
     } else if let Some(run) =
-        run_rank_opts::<u128, _>(&reads, &cfg, transport, &opts).map_err(fail)?
+        run_rank_on::<u128, _>(&reads, mine, &cfg, transport, &opts).map_err(fail)?
     {
         emit_net_run(&run, a)?;
     }
@@ -879,7 +894,7 @@ fn spectrum(a: SpectrumArgs) -> Result<(), String> {
 }
 
 fn simulate(a: SimulateArgs) -> Result<(), String> {
-    let reads = load_reads(&a.input)?;
+    let reads = load_reads(&a.input, 1).map_err(in_file(&a.input))?;
     let mut machine = MachineConfig::phoenix_intel(a.nodes);
     machine.pes_per_node = a.ppn;
     let mut cfg = DakcConfig::scaled_defaults(a.k);
@@ -971,7 +986,7 @@ fn model(a: ModelArgs) -> Result<(), String> {
 
 fn compare(a: CompareArgs) -> Result<(), String> {
     use dakc_baselines::{count_kmers_bsp_sim, count_kmers_hash_sim, BspConfig, HashKcConfig};
-    let reads = load_reads(&a.input)?;
+    let reads = load_reads(&a.input, 1).map_err(in_file(&a.input))?;
     let mut machine = MachineConfig::phoenix_intel(a.nodes);
     machine.pes_per_node = a.ppn;
     println!(
@@ -1174,13 +1189,13 @@ mod tests {
     fn load_reads_sniffs_fasta_and_fastq() {
         let fa = tmp("x.fasta");
         std::fs::write(&fa, ">a\nACGT\n").unwrap();
-        assert_eq!(load_reads(&fa).unwrap().len(), 1);
+        assert_eq!(load_reads(&fa, 1).unwrap().len(), 1);
         let fq = tmp("x.fastq");
         std::fs::write(&fq, "@a\nACGT\n+\nIIII\n").unwrap();
-        assert_eq!(load_reads(&fq).unwrap().len(), 1);
+        assert_eq!(load_reads(&fq, 2).unwrap().len(), 1);
         let bad = tmp("x.bin");
         std::fs::write(&bad, "garbage").unwrap();
-        assert!(load_reads(&bad).is_err());
+        assert!(matches!(load_reads(&bad, 1), Err(FastxError::Format { offset: 0, .. })));
     }
 
     #[test]
@@ -1193,6 +1208,45 @@ mod tests {
         let written = write_counts(&mut buf, &counts, 3, 2).unwrap();
         assert_eq!(written, 1);
         assert_eq!(String::from_utf8(buf).unwrap(), "AAC\t3\n");
+    }
+
+    #[test]
+    fn write_counts_is_the_fmt_line_and_surfaces_write_errors() {
+        fn check<W: KmerWord>(k: usize) {
+            let counts: Vec<dakc_kmer::KmerCount<W>> = [1u32, 9, 10, u32::MAX]
+                .iter()
+                .enumerate()
+                .map(|(i, &c)| {
+                    let bits = 0x1BE4_27D8_936C_B14E_1BE4_27D8_936C_B14Eu128 >> i;
+                    dakc_kmer::KmerCount::new(W::from_u128(bits & u128::mask(k)), c)
+                })
+                .collect();
+            for min_count in [1u32, 10] {
+                let mut buf = Vec::new();
+                let written = write_counts(&mut buf, &counts, k, min_count).unwrap();
+                let want: String = counts
+                    .iter()
+                    .filter(|c| c.count >= min_count)
+                    .map(|c| format!("{}\t{}\n", c.kmer.to_dna_string(k), c.count))
+                    .collect();
+                assert_eq!(String::from_utf8(buf).unwrap(), want, "k={k} min={min_count}");
+                assert_eq!(written as usize, want.lines().count());
+            }
+        }
+        [1, 4, 15, 31, 32].into_iter().for_each(check::<u64>);
+        [33, 63, 64].into_iter().for_each(check::<u128>);
+
+        struct Full;
+        impl Write for Full {
+            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+                Err(std::io::Error::other("disk full"))
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let one = [dakc_kmer::KmerCount::new(5u64, 1)];
+        assert!(write_counts(&mut Full, &one, 3, 1).unwrap_err().contains("disk full"));
     }
 
     #[test]

@@ -14,13 +14,14 @@
 
 use std::collections::BTreeSet;
 use std::fs::File;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dakc::{count_partition, DakcConfig, Partition, RunOpts};
+use dakc::{count_partition_on, DakcConfig, Partition, RunOpts};
+use dakc_io::TsvWriter;
 use dakc_kmer::{CanonicalMode, KmerWord};
 use dakc_net::{
     ChaosConfig, ChaosTransport, HeartbeatSender, HeartbeatState, NetTuning, Supervisor,
@@ -34,7 +35,9 @@ use dakc_sim::telemetry::MetricsRegistry;
 use dakc_sort::RadixKey;
 
 use crate::args::{QueryArgs, ServeArgs, ServeWorkerArgs};
-use crate::commands::{load_reads, out_writer, print_flow_latencies, supervise, teardown};
+use crate::commands::{
+    in_file, load_rank_slice, load_reads, out_writer, print_flow_latencies, supervise, teardown,
+};
 
 /// Default heartbeat period for serve workers (matches `launch`).
 const HEARTBEAT_DEFAULT: Duration = Duration::from_millis(100);
@@ -71,8 +74,9 @@ fn serve_config(k: usize, canonical: bool) -> DakcConfig {
 /// resident mesh until the query session ends (or a rank dies, which
 /// tears the service down with the dead rank named).
 pub fn serve(a: ServeArgs) -> Result<(), String> {
-    // Fail on an unreadable input before spawning N processes.
-    load_reads(&a.input)?;
+    // Fail on an unreadable input before spawning N processes; each rank
+    // parses its own slice, the launcher none of it.
+    dakc_io::sniff(Path::new(&a.input)).map_err(in_file(&a.input))?;
     let dir = PathBuf::from(&a.dir);
     // Stale rank*.addr files from a previous service would wedge the
     // rendezvous; shards are rebuilt (and overwritten) every launch.
@@ -179,7 +183,11 @@ pub fn serve_worker(w: ServeWorkerArgs) -> Result<(), String> {
         }
         None => None,
     };
-    let reads = load_reads(&a.input)?;
+    let reads = load_rank_slice(&a.input, rank, a.ranks, |blame| {
+        if let Some(addr) = sup_addr {
+            let _ = dakc_net::send_obituary(addr, rank, blame);
+        }
+    })?;
     let cfg = serve_config(a.k, a.canonical);
     // Chaos targets the serve loop (the failure mode under test is a
     // rank dying mid-service); the build mesh runs clean.
@@ -240,7 +248,7 @@ fn worker_run<W: KmerWord + RadixKey + Send>(
         recover: false,
     };
     let Partition { transport, counts, .. } =
-        count_partition::<W, _>(reads, cfg, build, &opts).map_err(fail_net)?;
+        count_partition_on::<W, _>(reads, 0..reads.len(), cfg, build, &opts).map_err(fail_net)?;
     let mut build = transport;
 
     // Phase 2: persist the shard, then barrier on the build mesh. The
@@ -332,7 +340,7 @@ fn query_w<W: KmerWord + RadixKey + Send + 'static>(a: &QueryArgs) -> Result<(),
         }
         None => {
             let reads_path = a.serve_reads.as_ref().expect("parser demands --dir or --serve-reads");
-            let reads = load_reads(reads_path)?;
+            let reads = load_reads(reads_path, a.ranks).map_err(in_file(reads_path))?;
             let cfg = serve_config(a.k, a.canonical);
             let shards = build_shards::<W>(&reads, &cfg, a.ranks)
                 .map_err(|e| format!("query: build {reads_path}: {e}"))?;
@@ -404,7 +412,7 @@ fn run_session<W: KmerWord, T: Transport>(
         client.total_records(),
         if client.canonical() { ", canonical" } else { "" },
     );
-    let mut out = out_writer(&a.output)?;
+    let mut out = TsvWriter::new(out_writer(&a.output)?, a.k);
     let mut unavailable: BTreeSet<usize> = BTreeSet::new();
     let mut unanswered = 0u64;
     let mut batches = 0u64;
@@ -414,19 +422,18 @@ fn run_session<W: KmerWord, T: Transport>(
         batches += 1;
         unavailable.extend(outcome.unavailable.iter().copied());
         for (w, r) in chunk.iter().zip(&outcome.results) {
-            match r {
-                LookupResult::Count(c) => {
-                    writeln!(out, "{}\t{c}", w.to_dna_string(a.k)).map_err(|e| e.to_string())?;
-                }
+            let count = match r {
+                LookupResult::Count(c) => Some(*c),
                 LookupResult::Unavailable { rank } => {
                     unanswered += 1;
                     unavailable.insert(*rank);
-                    writeln!(out, "{}\t?", w.to_dna_string(a.k)).map_err(|e| e.to_string())?;
+                    None
                 }
-            }
+            };
+            out.record(*w, count).map_err(|e| e.to_string())?;
         }
     }
-    out.flush().map_err(|e| e.to_string())?;
+    out.finish().map_err(|e| e.to_string())?;
     let elapsed = t0.elapsed().as_secs_f64();
     eprintln!(
         "query: {} lookup(s) in {batches} batch(es) of ≤{} in {:.3} s ({:.0} lookups/s)",

@@ -32,19 +32,25 @@ fn run_capture(args: &[&str]) -> String {
     String::from_utf8_lossy(&out.stdout).into_owned()
 }
 
-/// Generates a small synthetic dataset and returns its path.
+/// Generates a small synthetic dataset (once: the tests run in parallel
+/// and every rank of every launch reads its own slice of this one file)
+/// and returns its path.
 fn dataset() -> PathBuf {
-    let fq = tmp("reads.fastq");
-    run(&[
-        "generate",
-        "--dataset",
-        "Synthetic 20",
-        "--scale-shift",
-        "15",
-        "-o",
-        fq.to_str().unwrap(),
-    ]);
-    fq
+    static FQ: std::sync::OnceLock<PathBuf> = std::sync::OnceLock::new();
+    FQ.get_or_init(|| {
+        let fq = tmp("reads.fastq");
+        run(&[
+            "generate",
+            "--dataset",
+            "Synthetic 20",
+            "--scale-shift",
+            "15",
+            "-o",
+            fq.to_str().unwrap(),
+        ]);
+        fq
+    })
+    .clone()
 }
 
 /// Runs `dakc` expecting it to exit on its own well before `deadline`.
@@ -310,4 +316,100 @@ fn launch_loopback_and_single_rank_match_serial() {
         let got = std::fs::read(&dist).unwrap();
         assert_eq!(got, want, "{backend} ranks={ranks} differs from serial");
     }
+}
+
+/// `dakc count` on `input`, as the bytes every launch must reproduce.
+fn serial_count(input: &std::path::Path, k: &str, name: &str) -> Vec<u8> {
+    let out = tmp(name);
+    run(&["count", input.to_str().unwrap(), "-k", k, "--threads", "2", "-o", out.to_str().unwrap()]);
+    let want = std::fs::read(&out).unwrap();
+    assert!(!want.is_empty());
+    want
+}
+
+#[test]
+fn launch_tcp_ranks_parse_their_own_slices() {
+    // Three reads: at 5 ranks at least two slices are empty, and no rank
+    // ever sees the whole file.
+    let fq = tmp("three.fastq");
+    std::fs::write(
+        &fq,
+        "@a\nACGTACGGTTACAGGACCATGGACCAGT\n+\nIIIIIIIIIIIIIIIIIIIIIIIIIIII\n\
+         @b\nTTGACCATGGACCAGTACGTACGGTTAC\n+\nIIIIIIIIIIIIIIIIIIIIIIIIIIII\n\
+         @c\nGGACCAGTAACCGGTTACGTACG\n+\nIIIIIIIIIIIIIIIIIIIIIII\n",
+    )
+    .unwrap();
+    // A wrapped FASTA with CRLF endings: records span lines, slices cut
+    // mid-record and resynchronise on '>'.
+    let fa = tmp("wrapped.fasta");
+    let mut text = String::new();
+    for (i, seq) in ["ACGTACGGTTACAGGACCATGGACCAGTAACCGGTTACGTACG", "TTGACCATGGACC", "GGACCAGTAACCGGTTACGTACGACGTACGGTTACAGG"]
+        .iter()
+        .cycle()
+        .take(12)
+        .enumerate()
+    {
+        text.push_str(&format!(">contig{i} wrapped\r\n"));
+        for line in seq.as_bytes().chunks(10) {
+            text.push_str(std::str::from_utf8(line).unwrap());
+            text.push_str("\r\n");
+        }
+    }
+    std::fs::write(&fa, text).unwrap();
+    for (input, tag) in [(&fq, "three"), (&fa, "fasta")] {
+        let want = serial_count(input, "11", &format!("{tag}_serial.tsv"));
+        for ranks in ["3", "5"] {
+            let dist = tmp(&format!("{tag}_{ranks}.tsv"));
+            run(&[
+                "launch", input.to_str().unwrap(), "-k", "11", "--ranks", ranks, "--backend",
+                "tcp", "-o", dist.to_str().unwrap(),
+            ]);
+            assert_eq!(std::fs::read(&dist).unwrap(), want, "{tag}: {ranks} ranks differ from count");
+        }
+    }
+}
+
+#[test]
+fn launch_recover_replays_a_sliced_input() {
+    // The respawned rank 1 re-loads the same byte-range slice its dead
+    // incarnation had; the survivors replay out of their own slices.
+    let fq = dataset();
+    let want = serial_count(&fq, "21", "recover_sliced_serial.tsv");
+    let dist = tmp("recover_sliced.tsv");
+    let (status, stderr, _) = run_to_exit(
+        &[
+            "launch", fq.to_str().unwrap(), "-k", "21", "--ranks", "3", "--backend", "tcp",
+            "--chaos-profile", "die:1@10", "--chaos-seed", "1", "--recover",
+            "-o", dist.to_str().unwrap(),
+        ],
+        Duration::from_secs(120),
+    );
+    assert!(status.success(), "--recover launch must survive a scripted death:\n{stderr}");
+    assert!(stderr.contains("recover: rank 1"), "rank 1 must have been respawned:\n{stderr}");
+    assert_eq!(std::fs::read(&dist).unwrap(), want, "recovered output differs from serial");
+}
+
+#[test]
+fn launch_malformed_record_is_reported_by_the_rank_that_owns_it() {
+    // 30 equal records; the 16th — in the middle third, rank 1's slice of
+    // 3 — has a short quality line. The launcher itself parses nothing.
+    let good = "@r\nACGTACGGTTACAGGACCATGG\n+\nIIIIIIIIIIIIIIIIIIIIII\n";
+    let bad = "@r\nACGTACGGTTACAGGACCATGG\n+\nIIII\n";
+    let text = format!("{}{bad}{}", good.repeat(15), good.repeat(14));
+    let bad_line = 15 * good.len() + bad.find("IIII").unwrap();
+    let fq = tmp("malformed.fastq");
+    std::fs::write(&fq, text).unwrap();
+    let (status, stderr, _) = run_to_exit(
+        &[
+            "launch", fq.to_str().unwrap(), "-k", "11", "--ranks", "3", "--backend", "tcp",
+            "-o", tmp("malformed.tsv").to_str().unwrap(),
+        ],
+        Duration::from_secs(60),
+    );
+    assert!(!status.success(), "a malformed record must fail the launch");
+    assert!(
+        stderr.contains(&format!("rank 1: {}: byte {bad_line}: quality length 4", fq.display())),
+        "the owning rank must name the byte offset {bad_line}:\n{stderr}"
+    );
+    assert!(stderr.contains("launch failed: rank 1"), "the launcher must blame rank 1:\n{stderr}");
 }

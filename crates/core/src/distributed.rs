@@ -139,11 +139,31 @@ where
     W: KmerWord + RadixKey,
     T: Transport,
 {
+    let mine = reads.pe_range(transport.rank(), transport.num_ranks());
+    run_rank_on(reads, mine, cfg, transport, opts)
+}
+
+/// [`run_rank_opts`] for a rank that says which reads are its own: the
+/// in-process engines hold the whole input and pass their `pe_range`, a
+/// `dakc worker` process holds only its byte-range slice of the file
+/// (`dakc_io::load_slice`) and passes all of it. Collective like
+/// [`run_rank`]; the ranks' ranges must cover the job's input exactly once.
+pub fn run_rank_on<W, T>(
+    reads: &ReadSet,
+    mine: std::ops::Range<usize>,
+    cfg: &DakcConfig,
+    transport: T,
+    opts: &RunOpts,
+) -> NetResult<Option<NetRun<W>>>
+where
+    W: KmerWord + RadixKey,
+    T: Transport,
+{
     let started = Instant::now();
     let word_bytes = cfg.kmer_bytes::<W>();
     let n = transport.num_ranks();
     let Partition { transport, counts, metrics, trace } =
-        count_partition(reads, cfg, transport, opts)?;
+        count_partition_on(reads, mine, cfg, transport, opts)?;
 
     opts.set_phase(Phase::Gather);
     let result = gather(transport, counts, metrics, trace, word_bytes, opts)?;
@@ -202,6 +222,26 @@ where
     W: KmerWord + RadixKey,
     T: Transport,
 {
+    let mine = reads.pe_range(transport.rank(), transport.num_ranks());
+    count_partition_on(reads, mine, cfg, transport, opts)
+}
+
+/// [`count_partition`] over the read range `mine` (see [`run_rank_on`]).
+/// Recovery replays index into the same range, so a respawned rank must
+/// be handed the reads its predecessor had — a byte-range slice of a file
+/// is deterministic, which is all `--recover` needs.
+pub fn count_partition_on<W, T>(
+    reads: &ReadSet,
+    range: std::ops::Range<usize>,
+    cfg: &DakcConfig,
+    transport: T,
+    opts: &RunOpts,
+) -> NetResult<Partition<W, T>>
+where
+    W: KmerWord + RadixKey,
+    T: Transport,
+{
+    assert!(range.end <= reads.len(), "read range {range:?} out of {}", reads.len());
     cfg.validate::<W>();
     let rank = transport.rank();
     let n = transport.num_ranks();
@@ -228,7 +268,6 @@ where
     // latched by the fabric surface at the batch boundary.
     opts.set_phase(Phase::Parse);
     fab.trace(|| EventKind::Phase { phase: Phase::Parse as u32 });
-    let range = reads.pe_range(rank, n);
     let mut cursor = range.start;
     let canonical = cfg.canonical == CanonicalMode::Canonical;
     // One read's k-mers at a time, so the words stay cache-resident

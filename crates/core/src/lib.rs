@@ -59,8 +59,8 @@ pub use aggregate::{
 };
 pub use config::{DakcConfig, DEFAULT_MINIMIZER_LEN};
 pub use distributed::{
-    count_kmers_loopback, count_kmers_loopback_opts, count_partition, run_rank, run_rank_opts,
-    NetRun, Partition, RunOpts,
+    count_kmers_loopback, count_kmers_loopback_opts, count_partition, count_partition_on,
+    run_rank, run_rank_on, run_rank_opts, NetRun, Partition, RunOpts,
 };
 pub use engine::{count_kmers_sim, count_kmers_sim_traced, DakcRun};
 pub use filtered::{count_kmers_filtered, FilteredRun};

@@ -1,17 +1,18 @@
-//! FASTA/FASTQ parsing and writing.
+//! FASTA/FASTQ records: batch parsing and writing.
 //!
 //! Input handling matches what the paper's pipeline expects from
 //! `fasterq-dump` output: 4-line FASTQ records (no multi-line sequences in
-//! FASTQ; FASTA sequences may wrap). Parsing is byte-oriented and
-//! allocation-light; records borrow nothing so they can be moved into a
-//! [`crate::ReadSet`].
+//! FASTQ; FASTA sequences may wrap). The parsers here are adapters over
+//! the one scanner in [`crate::scan`]; records borrow nothing so they can
+//! be moved around freely.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, Read, Write};
 
-use crate::readset::ReadSet;
+use crate::scan::{Scanner, Sink};
+use crate::stream::FastxFormat;
 
 /// One FASTA or FASTQ record.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FastxRecord {
     /// Record id (text after `>`/`@`, up to the first whitespace).
     pub id: String,
@@ -21,15 +22,16 @@ pub struct FastxRecord {
     pub qual: Option<Vec<u8>>,
 }
 
-/// Parse errors with line information.
+/// Parse errors with their position in the input.
 #[derive(Debug)]
 pub enum FastxError {
     /// Underlying I/O failure.
     Io(io::Error),
     /// Structural problem in the input.
     Format {
-        /// 1-based line number.
-        line: usize,
+        /// Byte offset of the offending line (or of the place a missing
+        /// line should be).
+        offset: u64,
         /// What went wrong.
         what: String,
     },
@@ -39,7 +41,7 @@ impl std::fmt::Display for FastxError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             FastxError::Io(e) => write!(f, "I/O error: {e}"),
-            FastxError::Format { line, what } => write!(f, "line {line}: {what}"),
+            FastxError::Format { offset, what } => write!(f, "byte {offset}: {what}"),
         }
     }
 }
@@ -52,88 +54,49 @@ impl From<io::Error> for FastxError {
     }
 }
 
-fn id_of(header: &str) -> String {
-    header
-        .split_whitespace()
-        .next()
-        .unwrap_or_default()
-        .to_string()
+/// Collects scanned records as owned [`FastxRecord`]s.
+#[derive(Default)]
+pub(crate) struct RecordSink {
+    pub(crate) done: Vec<FastxRecord>,
+    cur: FastxRecord,
+    header: Vec<u8>,
+}
+
+impl Sink for RecordSink {
+    fn header(&mut self, bytes: &[u8]) {
+        self.header.extend_from_slice(bytes);
+    }
+
+    fn seq(&mut self, bytes: &[u8]) {
+        self.cur.seq.extend_from_slice(bytes);
+    }
+
+    fn qual(&mut self, bytes: &[u8]) {
+        self.cur.qual.get_or_insert_with(Vec::new).extend_from_slice(bytes);
+    }
+
+    fn end(&mut self) {
+        let id = self.header.split(u8::is_ascii_whitespace).next().unwrap_or_default();
+        self.cur.id = String::from_utf8_lossy(id).into_owned();
+        self.header.clear();
+        self.done.push(std::mem::take(&mut self.cur));
+    }
+}
+
+fn parse<R: Read>(reader: R, format: FastxFormat) -> Result<Vec<FastxRecord>, FastxError> {
+    let mut sink = RecordSink::default();
+    Scanner::new(reader, Some(format)).scan_all(&mut sink)?;
+    Ok(sink.done)
 }
 
 /// Parses FASTQ (strict 4-line records) from a reader.
-pub fn parse_fastq<R: BufRead>(reader: R) -> Result<Vec<FastxRecord>, FastxError> {
-    let mut out = Vec::new();
-    let mut lines = reader.lines().enumerate();
-    while let Some((ln, header)) = lines.next() {
-        let header = header?;
-        if header.is_empty() {
-            continue; // tolerate trailing blank lines
-        }
-        if !header.starts_with('@') {
-            return Err(FastxError::Format {
-                line: ln + 1,
-                what: format!("expected '@' header, got {header:?}"),
-            });
-        }
-        let (sl, seq) = lines.next().ok_or(FastxError::Format {
-            line: ln + 2,
-            what: "missing sequence line".into(),
-        })?;
-        let seq = seq?;
-        let (_, plus) = lines.next().ok_or(FastxError::Format {
-            line: sl + 2,
-            what: "missing '+' line".into(),
-        })?;
-        let plus = plus?;
-        if !plus.starts_with('+') {
-            return Err(FastxError::Format {
-                line: sl + 2,
-                what: format!("expected '+' separator, got {plus:?}"),
-            });
-        }
-        let (ql, qual) = lines.next().ok_or(FastxError::Format {
-            line: sl + 3,
-            what: "missing quality line".into(),
-        })?;
-        let qual = qual?;
-        if qual.len() != seq.len() {
-            return Err(FastxError::Format {
-                line: ql + 1,
-                what: format!("quality length {} != sequence length {}", qual.len(), seq.len()),
-            });
-        }
-        out.push(FastxRecord {
-            id: id_of(&header[1..]),
-            seq: seq.into_bytes(),
-            qual: Some(qual.into_bytes()),
-        });
-    }
-    Ok(out)
+pub fn parse_fastq<R: Read>(reader: R) -> Result<Vec<FastxRecord>, FastxError> {
+    parse(reader, FastxFormat::Fastq)
 }
 
 /// Parses FASTA (possibly line-wrapped sequences) from a reader.
-pub fn parse_fasta<R: BufRead>(reader: R) -> Result<Vec<FastxRecord>, FastxError> {
-    let mut out: Vec<FastxRecord> = Vec::new();
-    for (ln, line) in reader.lines().enumerate() {
-        let line = line?;
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(h) = line.strip_prefix('>') {
-            out.push(FastxRecord {
-                id: id_of(h),
-                seq: Vec::new(),
-                qual: None,
-            });
-        } else {
-            let rec = out.last_mut().ok_or(FastxError::Format {
-                line: ln + 1,
-                what: "sequence before any '>' header".into(),
-            })?;
-            rec.seq.extend_from_slice(line.as_bytes());
-        }
-    }
-    Ok(out)
+pub fn parse_fasta<R: Read>(reader: R) -> Result<Vec<FastxRecord>, FastxError> {
+    parse(reader, FastxFormat::Fasta)
 }
 
 /// Writes records as FASTQ (records lacking qualities get `I` — Q40 —
@@ -166,16 +129,6 @@ pub fn write_fasta<W: Write>(mut w: W, records: &[FastxRecord]) -> io::Result<()
         }
     }
     Ok(())
-}
-
-/// Loads just the sequences of a FASTQ stream into a [`ReadSet`].
-pub fn fastq_to_readset<R: BufRead>(reader: R) -> Result<ReadSet, FastxError> {
-    let records = parse_fastq(reader)?;
-    let mut rs = ReadSet::with_capacity(records.len(), records.iter().map(|r| r.seq.len()).sum());
-    for r in &records {
-        rs.push(&r.seq);
-    }
-    Ok(rs)
 }
 
 #[cfg(test)]
@@ -239,14 +192,6 @@ mod tests {
     #[test]
     fn fasta_rejects_headerless_sequence() {
         assert!(parse_fasta("ACGT\n".as_bytes()).is_err());
-    }
-
-    #[test]
-    fn fastq_to_readset_extracts_sequences() {
-        let rs = fastq_to_readset(FQ.as_bytes()).unwrap();
-        assert_eq!(rs.len(), 2);
-        assert_eq!(rs.get(0), b"ACGT");
-        assert_eq!(rs.get(1), b"GG");
     }
 
     #[test]

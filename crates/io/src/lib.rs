@@ -4,7 +4,11 @@
 //! the ART Illumina simulator over uniform-random genomes, and real ones
 //! downloaded from NCBI SRA (Table V). This crate provides both ends:
 //!
-//! * [`fastx`] — FASTA/FASTQ parsing and writing.
+//! * [`scan`] — the one FASTA/FASTQ scanner, and byte-range slicing of a
+//!   file so `P` ranks each parse `1/P` of it.
+//! * [`fastx`], [`stream`] — record-level adapters over the scanner, and
+//!   FASTA/FASTQ writing.
+//! * [`tsv`] — the `KMER<TAB>COUNT` writer.
 //! * [`readset`] — the compact in-memory read container every engine
 //!   consumes (flat byte arena + offsets; no per-read allocation).
 //! * [`genome`] — synthetic genome generation: uniform random sampling
@@ -25,11 +29,15 @@ pub mod genome;
 pub mod reads;
 pub mod readset;
 pub mod rng;
+pub mod scan;
 pub mod stream;
+pub mod tsv;
 
 pub use datasets::{table_v, DatasetSpec, ScaledDataset, DEFAULT_SCALE_SHIFT};
-pub use fastx::{parse_fasta, parse_fastq, write_fasta, write_fastq, FastxRecord};
+pub use fastx::{parse_fasta, parse_fastq, write_fasta, write_fastq, FastxError, FastxRecord};
 pub use genome::{generate_genome, GenomeSpec, RepeatProfile};
 pub use reads::{simulate_paired_reads, simulate_reads, PairedSimConfig, ReadSimConfig};
 pub use readset::ReadSet;
+pub use scan::{load, load_slice, sniff};
 pub use stream::{FastxFormat, FastxReader};
+pub use tsv::TsvWriter;

@@ -7,11 +7,17 @@
 //! ranges.
 
 /// A set of DNA reads in a flat arena.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReadSet {
     data: Vec<u8>,
     /// `offsets[i]..offsets[i+1]` is read `i`; always starts with 0.
     offsets: Vec<usize>,
+}
+
+impl Default for ReadSet {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl ReadSet {
@@ -37,6 +43,32 @@ impl ReadSet {
     pub fn push(&mut self, read: &[u8]) {
         self.data.extend_from_slice(read);
         self.offsets.push(self.data.len());
+    }
+
+    /// Removes every read, keeping the allocations.
+    pub fn clear(&mut self) {
+        self.data.clear();
+        self.offsets.truncate(1);
+    }
+
+    /// Reserves arena capacity for `bases` more bases.
+    pub fn reserve_bases(&mut self, bases: usize) {
+        self.data.reserve(bases);
+    }
+
+    /// Concatenates read sets in order (the first one's arena is reused).
+    pub fn concat(parts: Vec<ReadSet>) -> ReadSet {
+        let mut parts = parts.into_iter();
+        let mut all = parts.next().unwrap_or_default();
+        let rest: Vec<ReadSet> = parts.collect();
+        all.data.reserve(rest.iter().map(|p| p.data.len()).sum());
+        all.offsets.reserve(rest.iter().map(ReadSet::len).sum());
+        for p in rest {
+            let shift = all.data.len();
+            all.data.extend_from_slice(&p.data);
+            all.offsets.extend(p.offsets[1..].iter().map(|o| o + shift));
+        }
+        all
     }
 
     /// Number of reads.
@@ -91,6 +123,19 @@ impl ReadSet {
     /// Memory footprint of the arena in bytes (offsets excluded).
     pub fn arena_bytes(&self) -> usize {
         self.data.len()
+    }
+}
+
+/// Scanned sequence bytes land in the arena as they are found; a read
+/// whose record fails validation part-way stays an unterminated tail that
+/// no index reaches.
+impl crate::scan::Sink for ReadSet {
+    fn seq(&mut self, bytes: &[u8]) {
+        self.data.extend_from_slice(bytes);
+    }
+
+    fn end(&mut self) {
+        self.offsets.push(self.data.len());
     }
 }
 

@@ -1,14 +1,15 @@
-//! Streaming FASTA/FASTQ readers.
+//! Streaming FASTA/FASTQ reader.
 //!
-//! [`crate::fastx`] materializes whole files; real datasets (Table V runs
-//! to 451 GB) need constant-memory streaming. [`FastxReader`] yields one
-//! record at a time from any `BufRead`, sniffing the format from the first
-//! byte, with the same strictness as the batch parsers.
+//! Real datasets (Table V runs to 451 GB) need constant-memory streaming.
+//! [`FastxReader`] yields one record — or one reused [`ReadSet`] chunk —
+//! at a time from any `Read`, sniffing the format from the first byte; it
+//! is the pull-style face of the scanner in [`crate::scan`].
 
-use std::io::BufRead;
+use std::io::Read;
 
-use crate::fastx::{FastxError, FastxRecord};
+use crate::fastx::{FastxError, FastxRecord, RecordSink};
 use crate::readset::ReadSet;
+use crate::scan::Scanner;
 
 /// Detected stream format.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -20,132 +21,27 @@ pub enum FastxFormat {
 }
 
 /// A pull-based record reader.
-pub struct FastxReader<R: BufRead> {
-    inner: R,
-    format: Option<FastxFormat>,
-    /// FASTA carry-over: the header of the record currently being read.
-    pending_header: Option<String>,
-    line_no: usize,
-    line: String,
+pub struct FastxReader<R> {
+    scan: Scanner<R>,
 }
 
-impl<R: BufRead> FastxReader<R> {
+impl<R: Read> FastxReader<R> {
     /// Wraps a reader; the format is sniffed on the first record.
     pub fn new(inner: R) -> Self {
-        Self {
-            inner,
-            format: None,
-            pending_header: None,
-            line_no: 0,
-            line: String::new(),
-        }
+        Self { scan: Scanner::new(inner, None) }
     }
 
     /// The detected format, once the first record has been read.
     pub fn format(&self) -> Option<FastxFormat> {
-        self.format
-    }
-
-    fn read_line(&mut self) -> Result<Option<&str>, FastxError> {
-        self.line.clear();
-        let n = self.inner.read_line(&mut self.line)?;
-        if n == 0 {
-            return Ok(None);
-        }
-        self.line_no += 1;
-        Ok(Some(self.line.trim_end_matches(['\n', '\r'])))
-    }
-
-    fn err(&self, what: impl Into<String>) -> FastxError {
-        FastxError::Format {
-            line: self.line_no,
-            what: what.into(),
-        }
+        self.scan.format()
     }
 
     /// Reads the next record, or `None` at end of stream.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Result<Option<FastxRecord>, FastxError> {
-        // Resolve a header: either carried over (FASTA) or the next
-        // nonempty line.
-        let header = if let Some(h) = self.pending_header.take() {
-            h
-        } else {
-            loop {
-                match self.read_line()? {
-                    None => return Ok(None),
-                    Some("") => continue,
-                    Some(l) => break l.to_string(),
-                }
-            }
-        };
-
-        let format = match self.format {
-            Some(f) => f,
-            None => {
-                let f = match header.bytes().next() {
-                    Some(b'>') => FastxFormat::Fasta,
-                    Some(b'@') => FastxFormat::Fastq,
-                    _ => return Err(self.err(format!("unrecognized header {header:?}"))),
-                };
-                self.format = Some(f);
-                f
-            }
-        };
-
-        let id = header[1..]
-            .split_whitespace()
-            .next()
-            .unwrap_or_default()
-            .to_string();
-
-        match format {
-            FastxFormat::Fastq => {
-                if !header.starts_with('@') {
-                    return Err(self.err(format!("expected '@', got {header:?}")));
-                }
-                let seq = match self.read_line()? {
-                    Some(l) => l.as_bytes().to_vec(),
-                    None => return Err(self.err("missing sequence line")),
-                };
-                let plus = match self.read_line()? {
-                    Some(l) => l.to_string(),
-                    None => return Err(self.err("missing '+' line")),
-                };
-                if !plus.starts_with('+') {
-                    return Err(self.err(format!("expected '+', got {plus:?}")));
-                }
-                let qual = match self.read_line()? {
-                    Some(l) => l.as_bytes().to_vec(),
-                    None => return Err(self.err("missing quality line")),
-                };
-                if qual.len() != seq.len() {
-                    return Err(self.err(format!(
-                        "quality length {} != sequence length {}",
-                        qual.len(),
-                        seq.len()
-                    )));
-                }
-                Ok(Some(FastxRecord { id, seq, qual: Some(qual) }))
-            }
-            FastxFormat::Fasta => {
-                if !header.starts_with('>') {
-                    return Err(self.err(format!("expected '>', got {header:?}")));
-                }
-                let mut seq = Vec::new();
-                loop {
-                    match self.read_line()? {
-                        None => break,
-                        Some(l) if l.starts_with('>') => {
-                            self.pending_header = Some(l.to_string());
-                            break;
-                        }
-                        Some(l) => seq.extend_from_slice(l.as_bytes()),
-                    }
-                }
-                Ok(Some(FastxRecord { id, seq, qual: None }))
-            }
-        }
+        let mut sink = RecordSink::default();
+        self.scan.next_record(&mut sink)?;
+        Ok(sink.done.pop())
     }
 
     /// Streams the remaining records into a [`ReadSet`] in fixed-size
@@ -159,18 +55,15 @@ impl<R: BufRead> FastxReader<R> {
         assert!(chunk_reads >= 1);
         let mut total = 0usize;
         let mut chunk = ReadSet::new();
-        while let Some(rec) = self.next()? {
-            chunk.push(&rec.seq);
-            total += 1;
-            if chunk.len() == chunk_reads {
-                f(&chunk);
-                chunk = ReadSet::new();
+        loop {
+            chunk.clear();
+            while chunk.len() < chunk_reads && self.scan.next_record(&mut chunk)? {}
+            if chunk.is_empty() {
+                return Ok(total);
             }
-        }
-        if !chunk.is_empty() {
+            total += chunk.len();
             f(&chunk);
         }
-        Ok(total)
     }
 }
 
@@ -224,19 +117,26 @@ mod tests {
         }
         let mut r = FastxReader::new(data.as_bytes());
         let mut chunks = Vec::new();
+        let mut arenas = Vec::new();
         let total = r
-            .for_each_chunk(10, |c| chunks.push(c.len()))
+            .for_each_chunk(10, |c| {
+                chunks.push(c.len());
+                arenas.push(c.get(0).as_ptr());
+            })
             .unwrap();
         assert_eq!(total, 25);
         assert_eq!(chunks, vec![10, 10, 5]);
+        // One chunk, reused: no chunk outgrows the first, so the arena
+        // never moves.
+        assert!(arenas.windows(2).all(|w| w[0] == w[1]));
     }
 
     #[test]
-    fn truncated_fastq_errors_with_line_number() {
+    fn truncated_fastq_errors_with_byte_offset() {
         let data = "@r1\nACGT\n";
         let mut r = FastxReader::new(data.as_bytes());
         let err = r.next().unwrap_err();
-        assert!(format!("{err}").contains("missing"));
+        assert_eq!(format!("{err}"), "byte 9: missing '+' line");
     }
 
     #[test]

@@ -286,7 +286,12 @@ impl HeartbeatSender {
                         }
                         state.beats.fetch_add(1, Ordering::Relaxed);
                     }
-                    std::thread::sleep(interval);
+                    // Parked, not asleep: `drop` unparks, so a worker's
+                    // exit never waits out the interval.
+                    let next = Instant::now() + interval;
+                    while !stop2.load(Ordering::Relaxed) && Instant::now() < next {
+                        std::thread::park_timeout(next.saturating_duration_since(Instant::now()));
+                    }
                 }
             })?;
         Ok(Self { stop, handle: Some(handle) })
@@ -297,6 +302,7 @@ impl Drop for HeartbeatSender {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
         if let Some(h) = self.handle.take() {
+            h.thread().unpark();
             let _ = h.join();
         }
     }
@@ -350,7 +356,9 @@ impl Supervisor {
                                 .spawn(move || heartbeat_conn_loop(stream, peers, stop));
                         }
                         Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(20));
+                            // `drop` unparks: the launcher's exit does not
+                            // wait out the poll.
+                            std::thread::park_timeout(Duration::from_millis(20));
                         }
                         Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                         Err(_) => return,
@@ -463,6 +471,7 @@ impl Drop for Supervisor {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
         if let Some(h) = self.accept_handle.take() {
+            h.thread().unpark();
             let _ = h.join();
         }
     }

@@ -3,9 +3,13 @@
 //! Topology is a full mesh: rank `i` connects to every lower rank and
 //! accepts from every higher rank, identifying itself with a 4-byte rank
 //! hello, so each socket's peer is known up front. Per peer the endpoint
-//! keeps a send-side [`BufWriter`] sized to the L0 buffer config (one L0
-//! `PUT` should flush in one syscall) and a reader thread that decodes
-//! frames incrementally and pushes them onto a shared inbox channel.
+//! keeps a send-side [`BufWriter`] of [`SOCKET_BUF_BYTES`] (or one L0
+//! buffer, if that is larger) that coalesces many L0 `PUT`s into one
+//! `write` — the L0 idea applied to the real wire — and a reader thread
+//! that reads as much per syscall, decodes frames incrementally and
+//! pushes them onto a shared inbox channel. Buffered frames reach the wire
+//! when the buffer fills, at every collective (`flush`, `barrier`,
+//! `termination_round`) and when `try_recv` finds the rank idle.
 //!
 //! Control traffic (barrier announcements, termination contributions)
 //! shares the sockets with data. Because peers progress at different
@@ -44,6 +48,20 @@ use std::time::{Duration, Instant};
 use crate::error::{NetError, NetResult};
 use crate::frame::{encode_frame, FrameDecoder, FrameKind, MAX_FRAME_LEN};
 use crate::transport::{NetNote, NetStats, NetTuning, Rank, Recovered, TermDetector, Transport};
+
+/// Per-peer socket buffer, each way: decoupled from the cascade's `C0` so
+/// that a small L0 buffer (2 KiB under `scaled_defaults`) does not turn
+/// every other `PUT` into a `write` and a `read` syscall. A rank holds
+/// `2 × (P − 1)` of them.
+pub const SOCKET_BUF_BYTES: usize = 64 << 10;
+
+/// Sleeps `*delay`, then doubles it up to 10 ms: the set-up polls (address
+/// files, the accept queue) answer within a millisecond when every rank
+/// starts together and must not spin when one is late.
+fn poll_backoff(delay: &mut Duration) {
+    std::thread::sleep(*delay);
+    *delay = (*delay * 2).min(Duration::from_millis(10));
+}
 
 /// A send (or flush) slower than this counts as one backpressure stall.
 const STALL_THRESHOLD: Duration = Duration::from_millis(1);
@@ -201,9 +219,9 @@ fn io_err(context: String, peer: Option<Rank>, e: &std::io::Error) -> NetError {
 
 impl TcpTransport {
     /// Connects a full mesh from an explicit address list with default
-    /// tuning; `addrs[rank]` must be bindable locally. `buf_bytes` sizes
-    /// the per-peer send and receive buffers (pass the job's L0
-    /// `c0_bytes`).
+    /// tuning; `addrs[rank]` must be bindable locally. `buf_bytes` is the
+    /// job's L0 `c0_bytes`: the per-peer send and receive buffers are
+    /// that or [`SOCKET_BUF_BYTES`], whichever is larger.
     pub fn connect(rank: Rank, addrs: &[SocketAddr], buf_bytes: usize) -> NetResult<Self> {
         Self::connect_tuned(rank, addrs, buf_bytes, NetTuning::default())
     }
@@ -300,6 +318,7 @@ impl TcpTransport {
             .map_err(|e| io_err(ctx("publish"), None, &e))?;
 
         let start = Instant::now();
+        let mut poll = Duration::from_millis(1);
         let mut addrs = vec![None; n];
         addrs[rank] = Some(addr);
         while addrs.iter().any(Option::is_none) {
@@ -326,7 +345,7 @@ impl TcpTransport {
                         format!("rank {rank}: rendezvous missing addresses for ranks {missing:?}"),
                     ));
                 }
-                std::thread::sleep(Duration::from_millis(10));
+                poll_backoff(&mut poll);
             }
         }
         let addrs: Vec<SocketAddr> = addrs.into_iter().map(|a| a.expect("filled")).collect();
@@ -360,7 +379,7 @@ impl TcpTransport {
         std::fs::rename(&tmp, dir.join(format!("rank{rank}.addr")))
             .map_err(|e| io_err(ctx("publish"), None, &e))?;
 
-        let buf_bytes = buf_bytes.max(4 << 10);
+        let buf_bytes = buf_bytes.max(SOCKET_BUF_BYTES);
         let max_frame = (buf_bytes * 4).max(1 << 20);
         let (tx, rx) = mpsc::channel();
         let mut writers: Vec<Option<BufWriter<TcpStream>>> = (0..n).map(|_| None).collect();
@@ -465,7 +484,7 @@ impl TcpTransport {
     ) -> NetResult<Self> {
         let n = addrs.len();
         assert!(rank < n, "rank {rank} out of range for {n} ranks");
-        let buf_bytes = buf_bytes.max(4 << 10);
+        let buf_bytes = buf_bytes.max(SOCKET_BUF_BYTES);
         let mut streams: Vec<Option<TcpStream>> = (0..n).map(|_| None).collect();
         let mut setup_retries = 0u64;
 
@@ -522,6 +541,7 @@ impl TcpTransport {
             .set_nonblocking(true)
             .map_err(|e| io_err(format!("rank {rank}: listener nonblocking"), None, &e))?;
         let start = Instant::now();
+        let mut poll = Duration::from_millis(1);
         let expected = n - rank - 1;
         let mut accepted = 0usize;
         while accepted < expected {
@@ -573,7 +593,7 @@ impl TcpTransport {
                             ),
                         ));
                     }
-                    std::thread::sleep(Duration::from_millis(5));
+                    poll_backoff(&mut poll);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(io_err(format!("rank {rank}: accept"), None, &e)),
@@ -644,9 +664,10 @@ impl TcpTransport {
         })
     }
 
-    /// Writes raw wire bytes to a peer, retrying transient stalls with
-    /// backoff and classifying failures.
-    fn write_wire(&mut self, dest: Rank, wire: &[u8]) -> NetResult<()> {
+    /// Writes raw wire bytes (`head` then `body`) into a peer's buffered
+    /// writer, retrying transient stalls with backoff and classifying
+    /// failures.
+    fn write_wire(&mut self, dest: Rank, head: &[u8], body: &[u8]) -> NetResult<()> {
         let me = self.rank;
         let Some(w) = self.writers[dest].as_mut() else {
             return Err(NetError::Protocol {
@@ -656,7 +677,7 @@ impl TcpTransport {
         let t0 = Instant::now();
         let mut attempt = 0u32;
         loop {
-            match w.write_all(wire) {
+            match w.write_all(head).and_then(|()| w.write_all(body)) {
                 Ok(()) => break,
                 Err(e)
                     if matches!(
@@ -694,16 +715,22 @@ impl TcpTransport {
         Ok(())
     }
 
-    /// Encodes and writes one frame to a peer's buffered writer. In
-    /// recovery mode the payload is prefixed with this rank's incarnation
-    /// (the epoch envelope); off, the wire bytes are exactly
+    /// Writes one frame — header, then payload — straight into a peer's
+    /// buffered writer. In recovery mode the payload is prefixed with this
+    /// rank's incarnation (the epoch envelope, stripped back off by the
+    /// receiving reader thread); off, the wire bytes are exactly
     /// [`encode_frame`]'s.
     fn write_frame(&mut self, dest: Rank, kind: FrameKind, payload: &[u8]) -> NetResult<()> {
-        let wire = match &self.recovery {
-            Some(r) => encode_frame_inc(kind, r.incarnation, payload),
-            None => encode_frame(kind, payload),
-        };
-        self.write_wire(dest, &wire)
+        let envelope = self.recovery.as_ref().map(|r| r.incarnation.to_le_bytes());
+        let envelope = envelope.as_ref().map_or(&[][..], |e| e);
+        let len = 1 + envelope.len() + payload.len();
+        assert!(len <= MAX_FRAME_LEN, "frame payload too large: {len}");
+        let mut head = [0u8; 9];
+        let head = &mut head[..5 + envelope.len()];
+        head[..4].copy_from_slice(&(len as u32).to_le_bytes());
+        head[4] = kind.to_u8();
+        head[5..].copy_from_slice(envelope);
+        self.write_wire(dest, head, payload)
     }
 
     /// Whether `e` is a peer death this endpoint can absorb and recover
@@ -1088,21 +1115,6 @@ fn parse_u64(payload: &[u8], at: usize, src: Rank, what: &str) -> NetResult<u64>
         })
 }
 
-/// [`encode_frame`] with the recovery-mode epoch envelope: the sender's
-/// incarnation is prefixed to the payload (stripped back off by the
-/// receiving reader thread). Only recovery-mode meshes produce or expect
-/// this layout.
-fn encode_frame_inc(kind: FrameKind, inc: u32, payload: &[u8]) -> Vec<u8> {
-    let len = 1 + 4 + payload.len();
-    assert!(len <= MAX_FRAME_LEN, "frame payload too large: {len}");
-    let mut out = Vec::with_capacity(4 + len);
-    out.extend_from_slice(&(len as u32).to_le_bytes());
-    out.push(kind.to_u8());
-    out.extend_from_slice(&inc.to_le_bytes());
-    out.extend_from_slice(payload);
-    out
-}
-
 fn reader_loop(
     src: Rank,
     mut stream: TcpStream,
@@ -1232,7 +1244,14 @@ impl Transport for TcpTransport {
             }
             match self.rx.try_recv() {
                 Ok(ev) => self.absorb(ev)?,
-                Err(_) => return Ok(None),
+                Err(_) => {
+                    // Idle: nothing to process, so whatever sits in the
+                    // send buffers is what the peers are waiting for.
+                    if self.writers.iter().flatten().any(|w| !w.buffer().is_empty()) {
+                        self.flush()?;
+                    }
+                    return Ok(None);
+                }
             }
         }
     }
@@ -1469,7 +1488,7 @@ impl Transport for TcpTransport {
         }
         // An all-ones length prefix: the peer's decoder must reject it as
         // oversized without buffering a giant payload.
-        self.write_wire(dest, &[0xFF; 16])?;
+        self.write_wire(dest, &[0xFF; 16], &[])?;
         self.flush_peer(dest)
     }
 
@@ -1786,6 +1805,58 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
+    }
+
+    /// Polls `t.try_recv` until a frame arrives (the reader thread hands
+    /// frames over asynchronously) or `deadline` passes.
+    fn recv_within(t: &mut TcpTransport, deadline: Duration) -> Option<(Rank, Vec<u8>)> {
+        let start = Instant::now();
+        while start.elapsed() < deadline {
+            if let Some(got) = t.try_recv().unwrap() {
+                return Some(got);
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        None
+    }
+
+    #[test]
+    fn small_frames_wait_in_the_socket_buffer_until_flush() {
+        let mut mesh = tcp_mesh(2);
+        let mut t1 = mesh.pop().unwrap();
+        let mut t0 = mesh.pop().unwrap();
+        // Far smaller than SOCKET_BUF_BYTES: the frames coalesce in the
+        // send buffer instead of costing a syscall each.
+        for i in 0..10u8 {
+            t0.send(1, &[i; 100]).unwrap();
+        }
+        // Header and payload are written in place, and the bytes are
+        // exactly `encode_frame`'s.
+        let wire: Vec<u8> =
+            (0..10u8).flat_map(|i| encode_frame(FrameKind::Data, &[i; 100])).collect();
+        assert_eq!(t0.writers[1].as_ref().unwrap().buffer(), wire);
+        assert!(recv_within(&mut t1, Duration::from_millis(50)).is_none(), "nothing flushed yet");
+        t0.flush().unwrap();
+        for i in 0..10u8 {
+            let got = recv_within(&mut t1, Duration::from_secs(10)).expect("delivered after flush");
+            assert_eq!(got, (0, vec![i; 100]));
+        }
+    }
+
+    #[test]
+    fn an_idle_try_recv_flushes_what_is_buffered() {
+        let mut mesh = tcp_mesh(2);
+        let mut t1 = mesh.pop().unwrap();
+        let mut t0 = mesh.pop().unwrap();
+        t0.send(1, b"queued").unwrap();
+        assert!(!t0.writers[1].as_ref().unwrap().buffer().is_empty());
+        // `progress` on a rank with nothing to process ends in a
+        // `try_recv` that finds the inbox empty: that is the flush.
+        assert_eq!(t0.try_recv().unwrap(), None);
+        assert!(t0.writers[1].as_ref().unwrap().buffer().is_empty(), "idle poll must flush");
+        let got = recv_within(&mut t1, Duration::from_secs(10)).expect("delivered by the idle flush");
+        assert_eq!(got, (0, b"queued".to_vec()));
+        assert_eq!(t0.stats().frames_sent(), 1);
     }
 
     #[test]
