@@ -9,11 +9,11 @@
 //!
 //! Structure:
 //!
-//! 1. **Bin** (parallel over read blocks): decompose reads into
-//!    super-k-mers, append each to its minimizer's bin (lock-protected,
-//!    batched).
-//! 2. **Count** (parallel over bins): expand super-k-mers into k-mers,
-//!    radix sort, accumulate.
+//! 1. **Bin** (parallel over read blocks): stream each read's super-k-mers
+//!    out of the scanner and append them, 2-bit packed, to their
+//!    minimizer's bin (lock-protected, batched).
+//! 2. **Count** (parallel over bins): expand the packed super-k-mers into
+//!    k-mers, radix sort, accumulate.
 //!
 //! Because every occurrence of a k-mer shares its minimizer, bins are
 //! independent and the per-bin histograms concatenate into the global one.
@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 
 use dakc_io::ReadSet;
 use dakc_kmer::{
-    counts::merge_disjoint_runs, kmers_of_read, minimizer::super_kmers, CanonicalMode, KmerCount,
+    counts::merge_disjoint_runs, for_each_span, pack_span, unpack_spans, CanonicalMode, KmerCount,
     KmerWord,
 };
 use dakc_sort::{sort_count, RadixKey};
@@ -65,12 +65,9 @@ pub struct Kmc3Run<W> {
     pub elapsed: Duration,
 }
 
-/// One binned super-k-mer: the read bytes are copied so bins own their
-/// data (KMC3 writes bins to temporary files; in-memory mode keeps them).
-#[derive(Debug, Clone)]
-struct BinnedSk {
-    seq: Vec<u8>,
-}
+/// Packed bytes a thread stages for one bin before taking the bin's lock
+/// (about 64 super-k-mers at KMC3's defaults).
+const BIN_BATCH_BYTES: usize = 1024;
 
 /// Counts k-mers the KMC3 way.
 ///
@@ -87,25 +84,24 @@ pub fn count_kmers_kmc3<W: KmerWord + RadixKey>(
     assert!(cfg.bins >= 1 && cfg.threads >= 1);
     let start = Instant::now();
 
-    let bins: Vec<Mutex<Vec<BinnedSk>>> = (0..cfg.bins).map(|_| Mutex::new(Vec::new())).collect();
+    // A bin is a stream of packed span records, as KMC3's bin files are.
+    let bins: Vec<Mutex<Vec<u8>>> = (0..cfg.bins).map(|_| Mutex::new(Vec::new())).collect();
+    let canonical = cfg.canonical == CanonicalMode::Canonical;
 
     // --- Stage 1: super-k-mer binning ---
     std::thread::scope(|s| {
         for t in 0..cfg.threads {
             let bins = &bins;
             s.spawn(move || {
-                let mut local: Vec<Vec<BinnedSk>> = vec![Vec::new(); cfg.bins];
+                let mut local: Vec<Vec<u8>> = vec![Vec::new(); cfg.bins];
                 for i in reads.pe_range(t, cfg.threads) {
-                    let read = reads.get(i);
-                    for sk in super_kmers(read, cfg.k, cfg.m) {
-                        let bin = (sk.minimizer.hash64() % cfg.bins as u64) as usize;
-                        local[bin].push(BinnedSk {
-                            seq: read[sk.start..sk.start + sk.len].to_vec(),
-                        });
-                        if local[bin].len() >= 64 {
+                    for_each_span(reads.get(i), cfg.k, cfg.m, canonical, |minimizer, span| {
+                        let bin = (minimizer.hash64() % cfg.bins as u64) as usize;
+                        pack_span(&mut local[bin], span);
+                        if local[bin].len() >= BIN_BATCH_BYTES {
                             bins[bin].lock().unwrap().append(&mut local[bin]);
                         }
-                    }
+                    });
                 }
                 for (bin, buf) in local.iter_mut().enumerate() {
                     if !buf.is_empty() {
@@ -133,14 +129,13 @@ pub fn count_kmers_kmc3<W: KmerWord + RadixKey>(
                     if b >= cfg.bins {
                         break;
                     }
-                    let sks = std::mem::take(&mut *bins[b].lock().unwrap());
-                    if sks.is_empty() {
+                    let packed = std::mem::take(&mut *bins[b].lock().unwrap());
+                    if packed.is_empty() {
                         continue;
                     }
                     let mut kmers: Vec<W> = Vec::new();
-                    for sk in &sks {
-                        kmers.extend(kmers_of_read::<W>(&sk.seq, cfg.k, cfg.canonical));
-                    }
+                    unpack_spans(&packed, cfg.k, canonical, &mut kmers)
+                        .expect("bins hold what pack_span wrote");
                     let mut run = Vec::new();
                     sort_count(&mut kmers, |w, c| run.push(KmerCount::new(w, c)));
                     out.push(run);
@@ -166,6 +161,7 @@ pub fn count_kmers_kmc3<W: KmerWord + RadixKey>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dakc_kmer::kmers_of_read;
     use std::collections::BTreeMap;
 
     fn random_reads(n: usize, seed: u64) -> ReadSet {

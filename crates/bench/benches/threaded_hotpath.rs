@@ -6,7 +6,8 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use dakc::{count_kmers_threaded_opts, ThreadedOpts};
 use dakc_io::{generate_genome, simulate_reads, GenomeSpec, ReadSimConfig};
 use dakc_kmer::{
-    extract_into, kmers_of_read, minimizer_of, super_kmers, CanonicalMode, KmerCount, KmerWord,
+    extract_into, for_each_span, kmers_of_read, minimizer_of, pack_span, unpack_spans,
+    CanonicalMode, KmerCount, KmerWord,
 };
 use dakc_sort::{accumulate, hybrid_sort, sort_count, RadixKey};
 
@@ -92,43 +93,53 @@ fn bench_route_batch(c: &mut Criterion) {
     g.finish();
 }
 
-/// Per-k-mer minimizer maintenance: the reference O(k·m) full-window
-/// rescan (`minimizer_of`, one call per k-mer position) vs the
-/// monotonic-deque rolling window behind `super_kmers` (amortized O(1)
-/// per base) — the path the super-k-mer producers and the KMC3 baseline
-/// binning run on.
+/// The span kernels, per base of input (`time ÷ bases` is ns/base): the
+/// reference O(k·m) full-window rescan (`minimizer_of`, one call per k-mer
+/// position), the producer every span engine and the KMC3 baseline run
+/// (`for_each_span` + `pack_span`), and the consumer (`unpack_spans`,
+/// forward and canonical) on what the producer packed.
 fn bench_minimizer(c: &mut Criterion) {
     let rs = reads(2_000);
     let bases = rs.total_bases() as u64;
-    let (k, m) = (31usize, 7usize);
     let mut g = c.benchmark_group("minimizer");
     g.throughput(Throughput::Bytes(bases));
-    g.bench_function("rescan_per_kmer", |b| {
-        b.iter(|| {
-            let mut acc = 0u64;
-            for r in rs.iter() {
-                for at in 0..r.len().saturating_sub(k - 1) {
-                    if let Some(mz) = minimizer_of(r, at, k, m) {
-                        acc ^= mz;
+    for (k, m) in [(31usize, 7usize), (15, 7)] {
+        let km = format!("k{k}_m{m}");
+        g.bench_function(BenchmarkId::new("rescan_per_kmer", &km), |b| {
+            b.iter(|| {
+                let mut acc = 0u64;
+                for r in rs.iter() {
+                    for at in 0..r.len().saturating_sub(k - 1) {
+                        if let Some(mz) = minimizer_of(r, at, k, m) {
+                            acc ^= mz;
+                        }
                     }
                 }
-            }
-            black_box(acc)
-        })
-    });
-    g.bench_function("rolling_window", |b| {
-        b.iter(|| {
-            let mut acc = 0u64;
-            for r in rs.iter() {
-                for sk in super_kmers(r, k, m) {
-                    // One emit per super-k-mer covers len - k + 1 k-mer
-                    // positions; fold both in so the work is comparable.
-                    acc ^= sk.minimizer.wrapping_mul((sk.len - k + 1) as u64);
+                black_box(acc)
+            })
+        });
+        let mut packed: Vec<u8> = Vec::new();
+        g.bench_function(BenchmarkId::new("spans_pack", &km), |b| {
+            b.iter(|| {
+                packed.clear();
+                for r in rs.iter() {
+                    for_each_span(r, k, m, false, |_, span| pack_span(&mut packed, span));
                 }
-            }
-            black_box(acc)
-        })
-    });
+                black_box(packed.len())
+            })
+        });
+        let mut kmers: Vec<u64> = Vec::new();
+        for (label, canonical) in [("forward", false), ("canonical", true)] {
+            let id = BenchmarkId::new(&format!("spans_unpack_{label}"), &km);
+            g.bench_function(id, |b| {
+                b.iter(|| {
+                    kmers.clear();
+                    unpack_spans(&packed, k, canonical, &mut kmers).expect("packed above");
+                    black_box(kmers.len())
+                })
+            });
+        }
+    }
     g.finish();
 }
 

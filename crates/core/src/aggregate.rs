@@ -16,7 +16,8 @@
 
 use dakc_conveyors::{Actor, ActorConfig, ConvStats, ConveyorConfig, Fabric};
 use dakc_kmer::{
-    owner_pe, pack_span, packed_span_bytes, unpack_spans, CanonicalMode, KmerWord, SpanDecodeError,
+    owner_pe, pack_span, packed_span_bytes, span_kmers, unpack_spans, CanonicalMode, KmerWord, Span,
+    SpanDecodeError,
 };
 use dakc_sim::telemetry::metrics::PCT_BOUNDS;
 use dakc_sim::telemetry::Histogram;
@@ -342,7 +343,7 @@ impl<W: KmerWord + RadixKey> Aggregator<W> {
     ///
     /// Bypasses L3 — pre-accumulation is per-k-mer, and expanding spans
     /// locally just to re-compress them would forfeit the wire savings.
-    pub fn async_add_span<F: Fabric>(&mut self, ctx: &mut F, minimizer: u64, span: &[u8]) {
+    pub fn async_add_span<F: Fabric>(&mut self, ctx: &mut F, minimizer: u64, span: Span<'_>) {
         debug_assert!(self.cfg.superkmer);
         let kmers = (span.len() + 1 - self.cfg.k) as u64;
         self.stats.kmers_added += kmers;
@@ -637,10 +638,7 @@ impl<W: KmerWord + RadixKey> Aggregator<W> {
         }
         if let Some(buf) = self.spans.bufs.get_mut(dead) {
             // Span buffers are already encoded; count k-mers per record.
-            let canonical = self.cfg.canonical == CanonicalMode::Canonical;
-            if let Ok(sum) = unpack_spans(buf, self.cfg.k, canonical, &mut Vec::<W>::new()) {
-                purged += sum.kmers; // locally packed: decode cannot fail
-            }
+            purged += span_kmers(buf, self.cfg.k).expect("locally packed spans are well-formed");
             buf.clear();
         }
         // Open flow tags for the purged buffers die with them.

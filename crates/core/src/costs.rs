@@ -28,7 +28,7 @@ pub fn charge_parse_traffic<F: Fabric>(ctx: &mut F, input_bytes: u64, kmers: u64
 }
 
 /// Charges the super-k-mer parse path (`--superkmer`): the rolling
-/// minimizer scan is O(1)/base (deque ops amortize), and the producer
+/// minimizer scan is O(1)/base (window rescans amortize), and the producer
 /// streams the read once while writing only the packed span bytes — not a
 /// full word per k-mer. The wire savings are measured, not charged (spans
 /// cross the simulated NIC as real `send`s); this covers the producer-

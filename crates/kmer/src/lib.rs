@@ -13,8 +13,9 @@
 //!   non-ACGT characters.
 //! * [`hash`] — the `OwnerPE` mapping that assigns each distinct k-mer to
 //!   the processing element responsible for counting it.
-//! * [`minimizer`] — minimizer / super-k-mer segmentation, the binning
-//!   scheme used by the KMC3-style shared-memory baseline.
+//! * [`minimizer`] — minimizer / super-k-mer segmentation (the binning
+//!   scheme of the KMC3-style shared-memory baseline) and the packed span
+//!   wire codec of the L2.5 `--superkmer` encoding.
 //! * [`counts`] — the `{k-mer, count}` output representation shared by all
 //!   engines, plus helpers for comparing results across engines.
 //!
@@ -41,8 +42,8 @@ pub use extract::{extract_into, kmers_of_read, CanonicalMode, KmerIter};
 pub use hash::{owner_pe, splitmix64};
 pub use kmer::{Kmer128, Kmer64, KmerWord};
 pub use minimizer::{
-    for_each_span, minimizer_of, minimizer_of_mode, pack_span, packed_span_bytes, super_kmers,
-    super_kmers_mode, unpack_spans, MinimizerWindow, SpanDecodeError, SpanSummary, SuperKmer,
+    for_each_span, minimizer_of, minimizer_of_mode, pack_span, packed_span_bytes, span_kmers,
+    super_kmers, super_kmers_mode, unpack_spans, Span, SpanDecodeError, SpanSummary, SuperKmer,
     SPAN_MAX_BASES,
 };
 pub use spectrum::{analyze as analyze_spectrum, SpectrumSummary};

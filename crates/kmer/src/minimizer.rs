@@ -11,11 +11,15 @@
 //! hashed orderings avoid the pathological `AAA…` minimizer skew noted in
 //! the minimizer literature.
 //!
-//! Extraction is a rolling scan: m-mers enter a [`MinimizerWindow`]
-//! (monotonic deque) as the read streams by, so each base costs O(1)
-//! amortized instead of the O(k·m) full-window rescan a naive
-//! per-position [`minimizer_of`] incurs. `minimizer_of` is kept as the
-//! reference oracle the rolling path is tested against.
+//! Extraction is one pass over the read ([`for_each_span`]): each base is
+//! encoded once, appended to a 2-bit packed copy of the read, rolled into
+//! the forward/reverse m-mer, and its hash key dropped into a fixed ring of
+//! the window's last `k - m + 1` keys. The window minimum is tracked, and
+//! the ring is rescanned only when the tracked minimum slides out — about
+//! once per window on random sequence, never on a periodic one. Spans are
+//! handed out as [`Span`] views of the packed copy, so [`pack_span`] is a
+//! shift-copy, 32 bases a word. The per-position rescan [`minimizer_of`]
+//! is kept as the reference oracle the scanner is tested against.
 //!
 //! In canonical mode the minimizer of an m-mer window is its *canonical*
 //! form (min of the m-mer and its reverse complement): a k-mer and its
@@ -23,9 +27,7 @@
 //! minimizer is strand-symmetric — required for canonical counting to
 //! partition k-mers disjointly across owners.
 
-use std::collections::VecDeque;
-
-use crate::encode::ENCODE_TABLE;
+use crate::encode::{ENCODE_TABLE, INVALID_CODE};
 use crate::kmer::KmerWord;
 
 /// A maximal run of k-mers of one read sharing a single minimizer.
@@ -49,8 +51,8 @@ fn check_km(k: usize, m: usize) {
 /// starting at `seq[at..at + k]`.
 ///
 /// Reference implementation: rescans the whole window (O(k·m)). The
-/// engines use the rolling [`MinimizerWindow`] path via [`super_kmers`];
-/// this stays as the oracle it is tested against.
+/// engines use the one-pass scanner behind [`for_each_span`]; this stays
+/// as the oracle it is tested against.
 ///
 /// Returns `None` if the window contains a non-ACGT byte or is out of
 /// bounds.
@@ -70,7 +72,7 @@ pub fn minimizer_of_mode(seq: &[u8], at: usize, k: usize, m: usize, canonical: b
     let mut filled = 0usize;
     for &b in window {
         let code = ENCODE_TABLE[b as usize];
-        if code == crate::encode::INVALID_CODE {
+        if code == INVALID_CODE {
             return None;
         }
         fwd = fwd.push_base(m, code);
@@ -87,69 +89,6 @@ pub fn minimizer_of_mode(seq: &[u8], at: usize, k: usize, m: usize, canonical: b
     best.map(|(_, w)| w)
 }
 
-/// One m-mer staged in the rolling window.
-#[derive(Debug, Clone, Copy)]
-struct MinEntry {
-    /// Start offset of the m-mer within the read.
-    start: usize,
-    /// Ordering key (`hash64` of the m-mer).
-    key: u64,
-    /// The m-mer itself (canonical form in canonical mode).
-    mmer: u64,
-}
-
-/// Rolling window minimum over m-mer hash keys: a monotonic deque holding
-/// the ascending-minima candidates of the last `k - m + 1` m-mers, so the
-/// per-k-mer minimizer query is O(1) amortized.
-///
-/// Ties on the hash key keep the leftmost m-mer, matching
-/// [`minimizer_of`]'s strict-less scan.
-#[derive(Debug, Default)]
-pub struct MinimizerWindow {
-    deque: VecDeque<MinEntry>,
-}
-
-impl MinimizerWindow {
-    /// An empty window.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Drops all staged m-mers (call between reads / ACGT runs).
-    pub fn clear(&mut self) {
-        self.deque.clear();
-    }
-
-    /// Stages the m-mer starting at `start` with ordering key `key`.
-    /// Starts must be pushed in strictly increasing order.
-    #[inline]
-    pub fn push(&mut self, start: usize, mmer: u64, key: u64) {
-        while self.deque.back().is_some_and(|e| e.key > key) {
-            self.deque.pop_back();
-        }
-        self.deque.push_back(MinEntry { start, key, mmer });
-    }
-
-    /// Evicts m-mers starting before `start` (they left the window).
-    #[inline]
-    pub fn evict_before(&mut self, start: usize) {
-        while self.deque.front().is_some_and(|e| e.start < start) {
-            self.deque.pop_front();
-        }
-    }
-
-    /// Current window minimum as `(mmer, key)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window is empty.
-    #[inline]
-    pub fn min(&self) -> (u64, u64) {
-        let e = self.deque.front().expect("minimizer window is empty");
-        (e.mmer, e.key)
-    }
-}
-
 /// Decomposes a read into super-k-mers (forward-strand minimizers).
 ///
 /// Non-ACGT bytes split the read: no super-k-mer spans them. The union of
@@ -162,103 +101,178 @@ pub fn super_kmers(seq: &[u8], k: usize, m: usize) -> Vec<SuperKmer> {
 /// [`super_kmers`] with a canonical switch (see [`minimizer_of_mode`]).
 pub fn super_kmers_mode(seq: &[u8], k: usize, m: usize, canonical: bool) -> Vec<SuperKmer> {
     let mut out = Vec::new();
-    for_each_acgt_run(seq, k, |lo, hi| {
-        scan_run(seq, lo, hi, k, m, canonical, |minimizer, start, len| {
-            out.push(SuperKmer { minimizer, start, len });
-        });
+    scan(seq, k, m, canonical, |minimizer, start, len, _| {
+        out.push(SuperKmer { minimizer, start, len });
     });
     out
 }
 
+/// One super-k-mer span as [`for_each_span`] hands it out: `len` bases of
+/// the read, already 2-bit encoded. [`pack_span`] puts it on the wire.
+#[derive(Debug, Clone, Copy)]
+pub struct Span<'a> {
+    /// The whole read, 32 bases a word (base `i` in bits `2·(i mod 32)` of
+    /// word `i / 32` — the wire's bit order), plus one spare word so the
+    /// packer's two-word shift never runs off the end.
+    words: &'a [u64],
+    /// Offset of the span's first base within the read.
+    start: usize,
+    len: usize,
+}
+
+impl Span<'_> {
+    /// Length in bases; the span carries `len - k + 1` k-mers.
+    #[allow(clippy::len_without_is_empty)] // a span holds at least one k-mer
+    pub fn len(&self) -> usize {
+        self.len
+    }
+}
+
 /// Streams a read's super-k-mer spans to `f` as
-/// `(minimizer, span bases)`, splitting any span longer than
+/// `(minimizer, span)`, splitting any span longer than
 /// [`SPAN_MAX_BASES`] into overlapping chunks (overlap `k - 1`, same
 /// minimizer) so every span fits the wire codec's u16 length prefix.
 ///
-/// This is the producer hot path: no allocation, O(1) amortized per base.
-pub fn for_each_span<'a>(
-    seq: &'a [u8],
+/// This is the producer hot path: one pass, O(1) amortized per base, and
+/// one allocation — the packed copy, a quarter of the read.
+pub fn for_each_span(
+    seq: &[u8],
     k: usize,
     m: usize,
     canonical: bool,
-    mut f: impl FnMut(u64, &'a [u8]),
+    mut f: impl FnMut(u64, Span<'_>),
 ) {
-    for_each_acgt_run(seq, k, |lo, hi| {
-        scan_run(seq, lo, hi, k, m, canonical, |minimizer, start, len| {
-            let mut at = start;
-            let end = start + len;
-            loop {
-                let take = (end - at).min(SPAN_MAX_BASES);
-                f(minimizer, &seq[at..at + take]);
-                if at + take == end {
-                    break;
-                }
-                // Overlap k-1 bases so the chunk boundary loses no k-mer.
-                at = at + take - (k - 1);
+    scan(seq, k, m, canonical, |minimizer, start, len, words| {
+        let mut at = start;
+        let end = start + len;
+        loop {
+            let take = (end - at).min(SPAN_MAX_BASES);
+            f(minimizer, Span { words, start: at, len: take });
+            if at + take == end {
+                break;
             }
-        });
+            // Overlap k-1 bases so the chunk boundary loses no k-mer.
+            at = at + take - (k - 1);
+        }
     });
 }
 
-/// Calls `f(lo, hi)` for every maximal ACGT run of `seq` at least `k`
-/// bases long.
-fn for_each_acgt_run(seq: &[u8], k: usize, mut f: impl FnMut(usize, usize)) {
-    let mut run_start = 0usize;
-    for i in 0..=seq.len() {
-        let at_end = i == seq.len();
-        let invalid = !at_end && ENCODE_TABLE[seq[i] as usize] == crate::encode::INVALID_CODE;
-        if at_end || invalid {
-            if i - run_start >= k {
-                f(run_start, i);
-            }
-            run_start = i + 1;
-        }
-    }
-}
+/// Slots of the scanner's key ring: a power of two no smaller than the
+/// widest window, `k - m + 1 <= 64`.
+const RING: usize = 64;
 
-/// Scans one pure-ACGT run `seq[lo..hi]` with the rolling window,
-/// emitting `(minimizer, start, len)` per super-k-mer.
-fn scan_run(
+/// The one scanner: a single pass over `seq` that 2-bit packs it (layout
+/// as in [`Span`]) and emits `(minimizer, start, len, packed)` per
+/// super-k-mer, where `packed` is complete up to the span's last base. A
+/// non-ACGT byte ends the current ACGT run; runs shorter than `k` emit
+/// nothing.
+///
+/// The minimizer of a k-mer is the m-mer with the smallest
+/// [`KmerWord::hash64`] key among the `k - m + 1` it contains. That hash is
+/// a bijection on `u64`, so m-mers with equal keys are equal: which of
+/// several tied positions is tracked cannot change the minimizer reported
+/// (the oracle's leftmost included). The scanner tracks the rightmost,
+/// which is the last to leave the window — a periodic run ((AATGG)n,
+/// poly-A) then never rescans.
+fn scan(
     seq: &[u8],
-    lo: usize,
-    hi: usize,
     k: usize,
     m: usize,
     canonical: bool,
-    mut emit: impl FnMut(u64, usize, usize),
+    emit: impl FnMut(u64, usize, usize, &[u64]),
 ) {
     check_km(k, m);
-    let mut win = MinimizerWindow::new();
-    let mut fwd = 0u64;
-    let mut rc = 0u64;
-    // (current minimizer, span start).
-    let mut cur: Option<(u64, usize)> = None;
-    for i in lo..hi {
-        let code = ENCODE_TABLE[seq[i] as usize];
-        debug_assert!(code != crate::encode::INVALID_CODE, "run is pure ACGT");
-        fwd = fwd.push_base(m, code);
-        rc = rc.push_base_rc(m, code);
-        if i + 1 >= lo + m {
-            let mmer = if canonical { fwd.min(rc) } else { fwd };
-            win.push(i + 1 - m, mmer, mmer.hash64());
+    if canonical {
+        scan_strand::<true>(seq, k, m, emit);
+    } else {
+        scan_strand::<false>(seq, k, m, emit);
+    }
+}
+
+/// [`scan`], instantiated per canonicity so the forward loop rolls no
+/// reverse complement.
+fn scan_strand<const CANONICAL: bool>(
+    seq: &[u8],
+    k: usize,
+    m: usize,
+    mut emit: impl FnMut(u64, usize, usize, &[u64]),
+) {
+    let mut packed = vec![0u64; seq.len() / 32 + 2];
+    let window = k - m + 1;
+    // Keys and m-mers of the latest `RING` m-mers, indexed by the position
+    // of their last base.
+    let mut keys = [0u64; RING];
+    let mut mmers = [0u64; RING];
+    let (mut fwd, mut rc) = (0u64, 0u64);
+    // The last 32 bases, oldest in the low bits: the next word of `packed`.
+    let mut tail = 0u64;
+    // Writes `tail` — bases `..=i` — to its word of `packed`.
+    let store_tail =
+        |packed: &mut [u64], tail: u64, i: usize| packed[i / 32] = tail >> (62 - 2 * (i % 32));
+    // Bases of the current ACGT run seen so far.
+    let mut run = 0usize;
+    // The window minimum: its key, m-mer and last-base position.
+    let (mut min_key, mut min_mmer, mut min_at) = (u64::MAX, 0u64, 0usize);
+    // The open span: its minimizer and first base (valid once `run >= k`).
+    let (mut span_mmer, mut span_start) = (0u64, 0usize);
+    for (i, &b) in seq.iter().enumerate() {
+        let code = ENCODE_TABLE[b as usize];
+        // A non-ACGT byte takes a slot too (never read back), so a base's
+        // place in `packed` is its place in the read.
+        tail = (tail >> 2) | ((code as u64 & 0b11) << 62);
+        if i % 32 == 31 {
+            packed[i / 32] = tail;
         }
-        if i + 1 >= lo + k {
-            let p = i + 1 - k; // k-mer start
-            win.evict_before(p);
-            let (mz, _) = win.min();
-            match cur {
-                Some((cm, _)) if cm == mz => {}
-                Some((cm, st)) => {
-                    // The previous k-mer (at p-1) is the last sharing cm.
-                    emit(cm, st, (p - 1) - st + k);
-                    cur = Some((mz, p));
-                }
-                None => cur = Some((mz, p)),
+        if code == INVALID_CODE {
+            if run >= k {
+                store_tail(&mut packed, tail, i);
+                emit(span_mmer, span_start, i - span_start, &packed);
             }
+            run = 0;
+            min_key = u64::MAX; // the next run's first m-mer takes over
+            continue;
+        }
+        fwd = fwd.push_base(m, code);
+        if CANONICAL {
+            rc = rc.push_base_rc(m, code);
+        }
+        run += 1;
+        if run < m {
+            continue;
+        }
+        let mmer = if CANONICAL { fwd.min(rc) } else { fwd };
+        let key = mmer.hash64();
+        keys[i % RING] = key;
+        mmers[i % RING] = mmer;
+        if key <= min_key {
+            (min_key, min_mmer, min_at) = (key, mmer, i);
+        } else if i - min_at >= window {
+            // The minimum slid out (only once `run >= k`, so the window's
+            // slots all belong to this run): take the rightmost smallest.
+            min_key = u64::MAX;
+            for j in i + 1 - window..=i {
+                if keys[j % RING] <= min_key {
+                    (min_key, min_at) = (keys[j % RING], j);
+                }
+            }
+            min_mmer = mmers[min_at % RING];
+        }
+        if run < k {
+            continue;
+        }
+        if run > k && min_mmer != span_mmer {
+            // The k-mer ending at `i` opens a new span; the one before it
+            // was the last to share the old minimizer.
+            store_tail(&mut packed, tail, i);
+            emit(span_mmer, span_start, i - span_start, &packed);
+        }
+        if run == k || min_mmer != span_mmer {
+            (span_mmer, span_start) = (min_mmer, i + 1 - k);
         }
     }
-    if let Some((cm, st)) = cur {
-        emit(cm, st, hi - st);
+    if run >= k {
+        store_tail(&mut packed, tail, seq.len() - 1);
+        emit(span_mmer, span_start, seq.len() - span_start, &packed);
     }
 }
 
@@ -321,28 +335,31 @@ impl std::error::Error for SpanDecodeError {}
 
 /// Appends one span record — `[len: u16 LE][2-bit packed bases]` — to
 /// `out`. Bases pack little-endian within each byte (base `j` occupies
-/// bits `2·(j mod 4)` of byte `j / 4`).
+/// bits `2·(j mod 4)` of byte `j / 4`; pad bits of the last byte are zero).
+///
+/// The bases are already packed in that bit order ([`Span`]), so this is a
+/// shift-copy: 32 bases per word store, whatever the span's offset.
 ///
 /// # Panics
 ///
-/// Panics if the span is empty, longer than [`SPAN_MAX_BASES`], or (debug
-/// only) contains a non-ACGT byte — producers only pack pure-ACGT runs.
-pub fn pack_span(out: &mut Vec<u8>, bases: &[u8]) {
-    assert!(!bases.is_empty() && bases.len() <= SPAN_MAX_BASES);
-    out.extend_from_slice(&(bases.len() as u16).to_le_bytes());
-    let mut acc = 0u8;
-    for (j, &b) in bases.iter().enumerate() {
-        let code = ENCODE_TABLE[b as usize];
-        debug_assert!(code != crate::encode::INVALID_CODE, "span bases must be ACGT");
-        acc |= code << ((j % 4) * 2);
-        if j % 4 == 3 {
-            out.push(acc);
-            acc = 0;
-        }
+/// Panics if the span is longer than [`SPAN_MAX_BASES`] —
+/// [`for_each_span`] never hands one out.
+pub fn pack_span(out: &mut Vec<u8>, span: Span<'_>) {
+    let Span { words, start, len } = span;
+    assert!((1..=SPAN_MAX_BASES).contains(&len));
+    let source = &words[start / 32..=start / 32 + len.div_ceil(32)];
+    out.reserve(2 + 8 * source.len());
+    out.extend_from_slice(&(len as u16).to_le_bytes());
+    let end = out.len() + len.div_ceil(4);
+    let shift = 2 * (start % 32) as u32;
+    for pair in source.windows(2) {
+        // `<< 1 << (63 - shift)` is `<< (64 - shift)` that is 0 at shift 0.
+        let word = pair[0] >> shift | pair[1] << 1 << (63 - shift);
+        out.extend_from_slice(&word.to_le_bytes());
     }
-    if !bases.len().is_multiple_of(4) {
-        out.push(acc);
-    }
+    out.truncate(end);
+    // The last byte's unused high bits may hold the read's next bases.
+    out[end - 1] &= 0xFF >> (2 * (len.wrapping_neg() % 4));
 }
 
 /// Totals of one packed-span buffer expansion.
@@ -356,55 +373,116 @@ pub struct SpanSummary {
     pub bases: u64,
 }
 
+/// Walks the record headers of a concatenation of packed span records and
+/// totals what they announce, validating every record (each at least `k`
+/// bases, each with all its packed bytes present) without expanding any.
+fn span_summary(buf: &[u8], k: usize) -> Result<SpanSummary, SpanDecodeError> {
+    let mut sum = SpanSummary::default();
+    let mut rest = buf;
+    while !rest.is_empty() {
+        let [l0, l1, bases @ ..] = rest else {
+            return Err(SpanDecodeError::TruncatedHeader { have: rest.len() });
+        };
+        let len = u16::from_le_bytes([*l0, *l1]) as usize;
+        if len < k {
+            return Err(SpanDecodeError::TooShort { len, k });
+        }
+        let need = len.div_ceil(4);
+        if bases.len() < need {
+            return Err(SpanDecodeError::TruncatedBases { need, have: bases.len() });
+        }
+        rest = &bases[need..];
+        sum.spans += 1;
+        sum.kmers += (len - k + 1) as u64;
+        sum.bases += len as u64;
+    }
+    Ok(sum)
+}
+
+/// K-mers a concatenation of packed span records carries, from its record
+/// headers alone: what [`unpack_spans`] would append, without expanding.
+pub fn span_kmers(buf: &[u8], k: usize) -> Result<u64, SpanDecodeError> {
+    span_summary(buf, k).map(|sum| sum.kmers)
+}
+
 /// Expands a concatenation of packed span records back into k-mer words,
 /// appending to `out` (canonical form when `canonical` is set — the exact
 /// words [`crate::kmers_of_read`] would yield for each span).
 ///
 /// Fallible by design: a truncated or bit-flipped buffer yields a typed
-/// [`SpanDecodeError`], never a panic or a silent wrong expansion.
+/// [`SpanDecodeError`], never a panic or a silent wrong expansion. The
+/// whole buffer is validated before anything is appended, so `out` grows
+/// once, by exactly the k-mers the headers announce, and is untouched on
+/// error.
 pub fn unpack_spans<W: KmerWord>(
     buf: &[u8],
     k: usize,
     canonical: bool,
     out: &mut Vec<W>,
 ) -> Result<SpanSummary, SpanDecodeError> {
-    let mut sum = SpanSummary::default();
-    let mut at = 0usize;
-    while at < buf.len() {
-        if buf.len() - at < 2 {
-            return Err(SpanDecodeError::TruncatedHeader { have: buf.len() - at });
-        }
-        let len = u16::from_le_bytes([buf[at], buf[at + 1]]) as usize;
-        at += 2;
-        if len < k {
-            return Err(SpanDecodeError::TooShort { len, k });
-        }
-        let need = len.div_ceil(4);
-        let have = buf.len() - at;
-        if have < need {
-            return Err(SpanDecodeError::TruncatedBases { need, have });
-        }
-        let packed = &buf[at..at + need];
-        at += need;
-        let mut fwd = W::default();
-        let mut rc = W::default();
-        for j in 0..len {
-            let code = (packed[j / 4] >> ((j % 4) * 2)) & 0b11;
-            fwd = fwd.push_base(k, code);
-            if canonical {
-                rc = rc.push_base_rc(k, code);
-                if j + 1 >= k {
-                    out.push(fwd.min(rc));
-                }
-            } else if j + 1 >= k {
-                out.push(fwd);
-            }
-        }
-        sum.spans += 1;
-        sum.kmers += (len - k + 1) as u64;
-        sum.bases += len as u64;
+    let sum = span_summary(buf, k)?;
+    // Bounded by the input: a record announces at most 4 bases per byte.
+    out.reserve(sum.kmers as usize);
+    if canonical {
+        expand::<W, true>(buf, k, out);
+    } else {
+        expand::<W, false>(buf, k, out);
     }
     Ok(sum)
+}
+
+/// The first `N` bytes of `bytes` as an array, zero-padded when fewer are
+/// left: the bounds check behind the codec's wide loads.
+fn load_padded<const N: usize>(bytes: &[u8]) -> [u8; N] {
+    match bytes.first_chunk::<N>() {
+        Some(full) => *full,
+        None => {
+            let mut padded = [0u8; N];
+            padded[..bytes.len()].copy_from_slice(bytes);
+            padded
+        }
+    }
+}
+
+/// The expansion loop behind [`unpack_spans`], for a buffer
+/// [`span_summary`] accepted. A record's first k-mer is read whole out of
+/// its first `2k` bits (no `k - 1`-base run-in), the rest roll in from a
+/// shift register refilled 8 bytes (32 bases) at a time; the forward
+/// instantiation carries no reverse complement. A wide load may run into
+/// the next record — those bits are never used — and only the buffer's own
+/// last bytes are padded.
+fn expand<W: KmerWord, const CANONICAL: bool>(buf: &[u8], k: usize, out: &mut Vec<W>) {
+    let mut at = 0usize;
+    while at < buf.len() {
+        let len = u16::from_le_bytes([buf[at], buf[at + 1]]) as usize;
+        at += 2;
+        // The wire puts base 0 in the lowest bits, a k-mer word in the
+        // highest: the first k bases, complemented, are the reverse
+        // complement of the first k-mer as they stand.
+        let first = u128::from_le_bytes(load_padded(&buf[at..]));
+        let mut rc = W::from_u128(!first & W::mask(k).to_u128());
+        let mut fwd = rc.revcomp(k);
+        out.push(if CANONICAL { fwd.min(rc) } else { fwd });
+        let mut next = k; // the base to shift in
+        while next < len {
+            let word = u64::from_le_bytes(load_padded(&buf[at + next / 4..]));
+            let mut bases = word >> (2 * (next % 4));
+            let n = (32 - next % 4).min(len - next);
+            out.extend((0..n).map(|_| {
+                let code = (bases & 0b11) as u8;
+                bases >>= 2;
+                fwd = fwd.push_base(k, code);
+                if CANONICAL {
+                    rc = rc.push_base_rc(k, code);
+                    fwd.min(rc)
+                } else {
+                    fwd
+                }
+            }));
+            next += n;
+        }
+        at += len.div_ceil(4);
+    }
 }
 
 #[cfg(test)]
@@ -593,7 +671,8 @@ mod tests {
     #[test]
     fn unpack_rejects_malformed_buffers() {
         let mut buf = Vec::new();
-        pack_span(&mut buf, b"ACGTACG");
+        for_each_span(b"ACGTACG", 7, 3, false, |_, span| pack_span(&mut buf, span));
+        assert_eq!(buf, [7, 0, 0b1110_0100, 0b0010_0100]);
         let mut out: Vec<u64> = Vec::new();
         // Truncated header.
         assert_eq!(
