@@ -6,7 +6,7 @@ use dakc_io::{generate_genome, simulate_reads, GenomeSpec, ReadSimConfig};
 use dakc_kmer::{kmers_of_read, owner_pe, CanonicalMode, KmerWord};
 use dakc_sort::{
     accumulate, hybrid_sort, in_cache_keys, lsd_radix_sort, msd_radix_sort, parallel_radix_sort,
-    quicksort, sort_count,
+    quicksort, sort_count, BucketRuns, STAGE_WORDS,
 };
 
 fn reads(n: usize) -> dakc_io::ReadSet {
@@ -199,6 +199,51 @@ fn bench_phase2_out_of_cache(c: &mut Criterion) {
     }
 }
 
+/// Phase 2 as a `Fabric` engine meets it — the keys of one `uniform_k31`
+/// rank arriving a 32-word NORMAL packet at a time: appended to one received
+/// array that `sort_count` then sorts (the paper's shape, and the serial
+/// oracle's), against staged batches absorbed into `BucketRuns` and counted
+/// one bucket at a time (what the engines do). Both sides pay their own
+/// allocations, as a rank does.
+fn bench_phase2_arrival(c: &mut Criterion) {
+    let n = 1 << 22;
+    const PACKET_WORDS: usize = 32;
+    for dup in [1usize, 3, 12] {
+        let data = duplicated_kmers(n, dup);
+        let mut g = c.benchmark_group(format!("phase2_arrival_dup{dup}"));
+        g.sample_size(10);
+        g.throughput(Throughput::Elements(n as u64));
+        g.bench_function("one_array_sort_count", |b| {
+            b.iter(|| {
+                let mut received: Vec<u64> = Vec::new();
+                for packet in data.chunks(PACKET_WORDS) {
+                    received.extend_from_slice(packet);
+                }
+                let mut counts: Vec<(u64, u32)> = Vec::new();
+                sort_count(&mut received, |w, c| counts.push((w, c)));
+                black_box(counts.len())
+            })
+        });
+        g.bench_function("staged_runs_per_bucket", |b| {
+            b.iter(|| {
+                let mut runs = BucketRuns::new(62);
+                let mut staged: Vec<u64> = Vec::new();
+                for packet in data.chunks(PACKET_WORDS) {
+                    staged.extend_from_slice(packet);
+                    if staged.len() >= STAGE_WORDS {
+                        runs.absorb(&mut staged, 0);
+                    }
+                }
+                runs.absorb(&mut staged, 0);
+                let mut counts: Vec<(u64, u32)> = Vec::new();
+                runs.sort_count(|w, c| counts.push((w, c)));
+                black_box(counts.len())
+            })
+        });
+        g.finish();
+    }
+}
+
 /// The candidates for `sort_count`'s in-cache finisher, each run over the
 /// `in_cache_keys`-sized buckets of a 2^18-key array that an 8-bit
 /// partition has already been through (keys of a bucket share their top
@@ -282,6 +327,7 @@ criterion_group!(
     bench_owner_hash,
     bench_sorts,
     bench_phase2_out_of_cache,
+    bench_phase2_arrival,
     bench_phase2_in_cache,
     bench_end_to_end
 );

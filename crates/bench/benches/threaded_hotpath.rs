@@ -9,7 +9,7 @@ use dakc_kmer::{
     extract_into, for_each_span, kmers_of_read, minimizer_of, pack_span, unpack_spans,
     CanonicalMode, KmerCount, KmerWord,
 };
-use dakc_sort::{accumulate, hybrid_sort, sort_count, RadixKey};
+use dakc_sort::{accumulate, hybrid_sort, sort_count, BucketRun, BucketRuns};
 
 fn reads(n: usize) -> dakc_io::ReadSet {
     let genome = generate_genome(&GenomeSpec { bases: 200_000, repeats: None }, 1);
@@ -144,14 +144,12 @@ fn bench_minimizer(c: &mut Criterion) {
 }
 
 /// Phase 2 on one owner's partition: sort then accumulate, the fused
-/// `sort_count` every engine calls, and the threaded engine's
-/// pre-partitioned form (producers scatter by top radix byte, the owner
-/// runs `sort_count` per bucket).
+/// `sort_count` on the whole array, and the threaded engine's form
+/// (producers scatter each route batch into a `BucketRun`, the owner runs
+/// `sort_count` per gathered bucket).
 fn bench_phase2(c: &mut Criterion) {
     let n = 1 << 18;
     let data = kmer_vec(n, 42);
-    // k = 31 keys occupy 62 bits, so the top in-window byte is level 7.
-    let bucket_level = (2 * 31 - 1) / 8;
     let mut g = c.benchmark_group("phase2_256k");
     g.sample_size(10);
     g.throughput(Throughput::Elements(n as u64));
@@ -173,31 +171,14 @@ fn bench_phase2(c: &mut Criterion) {
     });
     g.bench_function("radix_bucketed_fused", |b| {
         b.iter(|| {
-            // Producer-side partition: counting-scatter by top byte.
-            let mut hist = [0usize; 256];
-            for &w in &data {
-                hist[w.radix_at(bucket_level) as usize] += 1;
+            // Producer side: one run per default-sized route batch.
+            let mut runs = BucketRuns::new(62);
+            for batch in data.chunks(dakc::DEFAULT_ROUTE_BATCH) {
+                runs.push(BucketRun::scatter(batch, 62, 0));
             }
-            let mut starts = [0usize; 256];
-            let mut sum = 0usize;
-            for (s, &c) in starts.iter_mut().zip(hist.iter()) {
-                *s = sum;
-                sum += c;
-            }
-            let mut cursor = starts;
-            let mut v = vec![0u64; data.len()];
-            for &w in &data {
-                let bkt = w.radix_at(bucket_level) as usize;
-                v[cursor[bkt]] = w;
-                cursor[bkt] += 1;
-            }
-            // Owner-side: sort and count each bucket while it is in cache.
+            // Owner side: sort and count each bucket while it is in cache.
             let mut counts: Vec<KmerCount<u64>> = Vec::new();
-            for bkt in 0..256 {
-                sort_count(&mut v[starts[bkt]..cursor[bkt]], |w, c| {
-                    counts.push(KmerCount::new(w, c))
-                });
-            }
+            runs.sort_count(|w, c| counts.push(KmerCount::new(w, c)));
             black_box(counts.len())
         })
     });

@@ -16,13 +16,15 @@
 
 use dakc_conveyors::{Actor, ActorConfig, ConvStats, ConveyorConfig, Fabric};
 use dakc_kmer::{
-    owner_pe, pack_span, packed_span_bytes, span_kmers, unpack_spans, CanonicalMode, KmerWord, Span,
-    SpanDecodeError,
+    counts::merge_sorted_counts_owned, owner_pe, pack_span, packed_span_bytes, span_kmers,
+    unpack_spans, CanonicalMode, KmerCount, KmerWord, Span, SpanDecodeError,
 };
 use dakc_sim::telemetry::metrics::PCT_BOUNDS;
 use dakc_sim::telemetry::Histogram;
 use dakc_sim::{EventKind, FlowSampler, FlowTag, PeId};
-use dakc_sort::{sort_count, RadixKey};
+use dakc_sort::{
+    accumulate_weighted, lsd_radix_sort_by, sort_count, BucketRun, BucketRuns, RadixKey, STAGE_WORDS,
+};
 
 use crate::config::DakcConfig;
 use crate::costs;
@@ -37,36 +39,68 @@ pub const CH_SINGLE: u8 = 2;
 pub const CH_SUPER: u8 = 3;
 
 /// What a PE has received so far: the owner-side `T` array of
-/// Algorithm 3/4, split into plain k-mers and pre-accumulated pairs.
+/// Algorithm 3/4 — which no engine builds. `plain` is a *staging* buffer:
+/// [`Aggregator::progress`] decodes arrivals into it with tight sequential
+/// writes, and the engine loop calls [`ReceiveStore::absorb_batch`] after
+/// each `progress`, which moves a full batch ([`STAGE_WORDS`]) out of it
+/// into bucket-scattered runs while it is still in L2 (see
+/// [`dakc_sort::runs`]). Phase 2 is [`ReceiveStore::into_counts`]. A caller
+/// that never absorbs finds every plain word it received in `plain`.
 ///
 /// With [`ReceiveStore::track_sources`] on (rank recovery), every
 /// delivery batch is indexed by its source rank so that a dead rank's
 /// contributions can be [`ReceiveStore::purge_source`]d and re-received
-/// from its replacement. The index is a segment list (one entry per
-/// contiguous same-source delivery run), not a per-record tag, so the
-/// tracking overhead is proportional to packets, not k-mers.
-#[derive(Debug, Clone, Default)]
+/// from its replacement. The index over the staged records is a segment
+/// list (one entry per contiguous same-source delivery run), not a
+/// per-record tag, so the tracking overhead is proportional to packets,
+/// not k-mers; an absorbed run remembers the one source it came from.
+#[derive(Debug, Clone)]
 pub struct ReceiveStore<W> {
-    /// Individual k-mer occurrences (count 1 each).
+    /// Individual k-mer occurrences (count 1 each) not yet absorbed.
     pub plain: Vec<W>,
     /// Pre-accumulated heavy-hitter deliveries.
     pub pairs: Vec<(W, u32)>,
+    /// Every batch absorbed out of `plain` so far.
+    runs: BucketRuns<W>,
     /// `(src, plain watermark, pairs watermark)` after each delivery run,
     /// recorded only while tracking.
     segs: Vec<(PeId, usize, usize)>,
     track: bool,
 }
 
-impl<W> ReceiveStore<W> {
+impl<W: RadixKey> Default for ReceiveStore<W> {
+    /// A store for words that may use every bit of `W`; the engines, which
+    /// know `k`, start from [`ReceiveStore::for_k`].
+    fn default() -> Self {
+        Self::with_runs(BucketRuns::default())
+    }
+}
+
+impl<W: RadixKey> ReceiveStore<W> {
+    /// A store for k-mers of length `k`: runs are bucketed by the top 8
+    /// bits of the `2k`-bit window.
+    pub fn for_k(k: usize) -> Self {
+        Self::with_runs(BucketRuns::new(2 * k as u32))
+    }
+
+    fn with_runs(runs: BucketRuns<W>) -> Self {
+        Self { plain: Vec::new(), pairs: Vec::new(), runs, segs: Vec::new(), track: false }
+    }
+
+    /// Plain k-mer occurrences received, absorbed or still staged.
+    pub fn plain_len(&self) -> usize {
+        self.runs.len() + self.plain.len()
+    }
+
     /// Total occurrences represented.
     pub fn total_occurrences(&self) -> u64 {
-        self.plain.len() as u64 + self.pairs.iter().map(|&(_, c)| c as u64).sum::<u64>()
+        self.plain_len() as u64 + self.pairs.iter().map(|&(_, c)| c as u64).sum::<u64>()
     }
 
     /// Turns on source tracking (call before any records arrive).
     pub fn track_sources(&mut self) {
         assert!(
-            self.plain.is_empty() && self.pairs.is_empty(),
+            self.plain_len() == 0 && self.pairs.is_empty(),
             "source tracking must start before the first delivery"
         );
         self.track = true;
@@ -93,19 +127,63 @@ impl<W> ReceiveStore<W> {
         }
     }
 
+    /// [`ReceiveStore::absorb`] once a whole batch is staged: what an
+    /// engine loop calls after every `progress`.
+    pub fn absorb_batch(&mut self) {
+        if self.plain.len() >= STAGE_WORDS {
+            self.absorb();
+        }
+    }
+
+    /// Moves the staged plain words into bucket-scattered runs — one run,
+    /// or while tracking one per source present — and leaves `plain` empty
+    /// with its allocation.
+    pub fn absorb(&mut self) {
+        if !self.track {
+            return self.runs.absorb(&mut self.plain, 0);
+        }
+        let mut srcs: Vec<PeId> = self.segs.iter().map(|seg| seg.0).collect();
+        srcs.sort_unstable();
+        srcs.dedup();
+        let mut from_src: Vec<W> = Vec::new();
+        for src in srcs {
+            let mut pp = 0;
+            for &(s, pe, _) in &self.segs {
+                if s == src {
+                    from_src.extend_from_slice(&self.plain[pp..pe]);
+                }
+                pp = pe;
+            }
+            self.runs.absorb(&mut from_src, src);
+        }
+        self.plain.clear();
+        // The index now covers the staged pairs only.
+        let mut qq = 0;
+        self.segs.retain_mut(|seg| {
+            seg.1 = 0;
+            let has_pairs = seg.2 > qq;
+            qq = seg.2;
+            has_pairs
+        });
+    }
+
+    /// Takes a run a producer thread scattered itself
+    /// (`BucketRun::scatter(.., 2k, ..)`), as if it had been staged and
+    /// absorbed here.
+    pub fn push_run(&mut self, run: BucketRun<W>) {
+        self.runs.push(run);
+    }
+
     /// Drops every record delivered by `src`, returning how many
     /// occurrences were discarded. Requires source tracking; the caller
     /// re-receives the purged content from the rank's replacement.
-    pub fn purge_source(&mut self, src: PeId) -> u64
-    where
-        W: Copy,
-    {
+    pub fn purge_source(&mut self, src: PeId) -> u64 {
         assert!(self.track, "purge_source requires track_sources");
+        let mut purged = self.runs.drop_source(src) as u64;
         let mut plain = Vec::with_capacity(self.plain.len());
         let mut pairs = Vec::with_capacity(self.pairs.len());
         let mut segs = Vec::with_capacity(self.segs.len());
         let (mut pp, mut qq) = (0usize, 0usize);
-        let mut purged = 0u64;
         for &(s, pe, qe) in &self.segs {
             if s == src {
                 purged += (pe - pp) as u64;
@@ -127,6 +205,24 @@ impl<W> ReceiveStore<W> {
         self.pairs = pairs;
         self.segs = segs;
         purged
+    }
+}
+
+impl<W: KmerWord + RadixKey> ReceiveStore<W> {
+    /// Phase 2 on the quiescent store: the sorted `{k-mer, count}` table of
+    /// everything received — each bucket of the plain runs through
+    /// [`dakc_sort::sort_count`], the heavy pairs sorted and summed, the
+    /// two merged.
+    pub fn into_counts(mut self) -> Vec<KmerCount<W>> {
+        self.absorb();
+        let mut plain: Vec<KmerCount<W>> = Vec::new();
+        self.runs.sort_count(|w, c| plain.push(KmerCount::new(w, c)));
+        lsd_radix_sort_by(&mut self.pairs, |p| p.0);
+        let heavy: Vec<KmerCount<W>> = accumulate_weighted(&self.pairs)
+            .into_iter()
+            .map(|(w, c)| KmerCount::new(w, c))
+            .collect();
+        merge_sorted_counts_owned(plain, heavy)
     }
 }
 
@@ -873,6 +969,50 @@ mod tests {
             );
         }
         assert!(store.plain.is_empty() && store.pairs.is_empty(), "a bad payload adds nothing");
+    }
+
+    // Three interleaved sources, heavy pairs among the words, absorbs at
+    // arbitrary points: purging one source — from the absorbed runs and
+    // from the staged tail alike — leaves what never receiving it would.
+    #[test]
+    fn purge_source_spans_absorbed_runs_and_the_staged_tail() {
+        let deliver = |skip: Option<PeId>| {
+            let mut store = ReceiveStore::<u64>::for_k(5);
+            store.track_sources();
+            for i in 0..600u64 {
+                let src = (i % 7 % 3) as PeId;
+                if Some(src) != skip {
+                    store.plain.extend([i * 7 % 101, i]);
+                    if i % 5 == 0 {
+                        store.pairs.push((i % 11, 3 + i as u32));
+                    }
+                    store.note_delivery(src);
+                }
+                if i % 97 == 96 {
+                    store.absorb();
+                    assert!(store.plain.is_empty());
+                }
+            }
+            store
+        };
+        for dead in 0..3 {
+            let mut with = deliver(None);
+            let without = deliver(Some(dead));
+            assert!(!with.runs.is_empty() && !with.plain.is_empty(), "both halves hold records");
+            let before = with.total_occurrences();
+            assert_eq!(with.purge_source(dead), before - without.total_occurrences());
+            assert_eq!(with.plain_len(), without.plain_len());
+            assert_eq!(with.purge_source(dead), 0, "nothing of the dead source is left");
+            assert_eq!(with.into_counts(), without.into_counts(), "dead = {dead}");
+        }
+    }
+
+    #[test]
+    fn an_untouched_store_owns_no_heap_and_counts_to_nothing() {
+        let store = ReceiveStore::<u64>::for_k(31);
+        assert_eq!((store.plain.capacity(), store.pairs.capacity(), store.segs.capacity()), (0, 0, 0));
+        assert_eq!(store.total_occurrences(), 0);
+        assert!(store.into_counts().is_empty());
     }
 
     fn one_rank_of(ranks: usize, cfg: DakcConfig) -> (NetFabric<Loopback>, Aggregator<u64>) {

@@ -10,7 +10,8 @@
 //!          servicing the transport between batches.
 //! Drain  — flush every layer, then alternate progress with collective
 //!          four-counter termination rounds until the job is quiescent.
-//! Count  — phase 2: sort + accumulate + merge this rank's partition.
+//! Count  — phase 2: sort + accumulate + merge this rank's partition, one
+//!          bucket of the runs absorbed during Parse and Drain at a time.
 //! Gather — every rank streams its `{kmer, count}` pairs (HEAVY wire
 //!          format) and its metrics JSON to rank 0, which merges them.
 //! ```
@@ -37,8 +38,7 @@ use std::time::Instant;
 use dakc_conveyors::Fabric;
 use dakc_io::ReadSet;
 use dakc_kmer::{
-    counts::{merge_disjoint_runs, merge_sorted_counts},
-    extract_into, for_each_span, CanonicalMode, KmerCount, KmerWord,
+    counts::merge_disjoint_runs, extract_into, for_each_span, CanonicalMode, KmerCount, KmerWord,
 };
 use dakc_net::{
     HeartbeatState, Loopback, NetError, NetFabric, NetResult, NetTuning, Phase, Transport,
@@ -46,7 +46,7 @@ use dakc_net::{
 };
 use dakc_sim::telemetry::{decode_events, encode_events, Event, MetricsRegistry};
 use dakc_sim::EventKind;
-use dakc_sort::{accumulate_weighted, lsd_radix_sort_by, sort_count, RadixKey};
+use dakc_sort::RadixKey;
 
 use crate::aggregate::{decode_packet, encode_heavy_packet, Aggregator, ReceiveStore, CH_HEAVY};
 use crate::config::DakcConfig;
@@ -255,7 +255,7 @@ where
         fab.align_clock(DEFAULT_PINGS, opts.tuning.collective_timeout)?;
     }
     let mut agg = Aggregator::<W>::new(cfg.clone(), &mut fab);
-    let mut store = ReceiveStore::<W>::default();
+    let mut store = ReceiveStore::<W>::for_k(cfg.k);
     let recover = opts.recover && n > 1;
     if recover {
         assert!(!opts.trace, "recovery and tracing are mutually exclusive");
@@ -291,6 +291,7 @@ where
         }
         cursor = end;
         agg.progress(&mut fab, &mut store);
+        store.absorb_batch();
         surface_decode_error(&mut agg, rank)?;
         fab.check()?;
         if recover {
@@ -320,6 +321,7 @@ where
     let mut last_movement = Instant::now();
     loop {
         let processed = agg.progress(&mut fab, &mut store);
+        store.absorb_batch();
         surface_decode_error(&mut agg, rank)?;
         fab.check()?;
         if recover {
@@ -381,15 +383,7 @@ where
     // simulator engine's count phase.
     opts.set_phase(Phase::Count);
     fab.trace(|| EventKind::Phase { phase: Phase::Count as u32 });
-    let ReceiveStore { mut plain, mut pairs, .. } = store;
-    let mut plain_counts: Vec<KmerCount<W>> = Vec::new();
-    sort_count(&mut plain, |w, c| plain_counts.push(KmerCount::new(w, c)));
-    lsd_radix_sort_by(&mut pairs, |p| p.0);
-    let pair_counts: Vec<KmerCount<W>> = accumulate_weighted(&pairs)
-        .into_iter()
-        .map(|(w, c)| KmerCount::new(w, c))
-        .collect();
-    let counts = merge_sorted_counts(&plain_counts, &pair_counts);
+    let counts = store.into_counts();
 
     // Fold this rank's cascade counters next to the transport telemetry.
     let agg_stats = agg.stats();
@@ -522,7 +516,7 @@ fn surface_decode_error<W: KmerWord + RadixKey>(
 /// arrives for a full collective deadline.
 type Gathered<W, T> = Option<(T, Vec<KmerCount<W>>, MetricsRegistry, Vec<Event>)>;
 
-fn gather<W: KmerWord, T: Transport>(
+fn gather<W: KmerWord + RadixKey, T: Transport>(
     mut transport: T,
     counts: Vec<KmerCount<W>>,
     metrics: MetricsRegistry,
@@ -671,7 +665,8 @@ fn gather<W: KmerWord, T: Transport>(
                     states[src] = PeerState::Done;
                     outstanding -= 1;
                 } else {
-                    trace_bufs[src].reserve(nbytes as usize);
+                    // No reserve: the header is the peer's claim, and the
+                    // buffer grows only by the bytes that really arrive.
                     states[src] = PeerState::Trace(nbytes);
                 }
             }
@@ -844,6 +839,31 @@ mod tests {
             other => panic!("expected CorruptFrame, got {other:?}"),
         }
         assert!(surface_decode_error(&mut agg, 1).is_ok(), "take must clear the latch");
+    }
+
+    // A trace header is a peer-supplied length: rank 0 must not size an
+    // allocation from it (`Vec::reserve(u64::MAX)` panics). The bytes that
+    // do arrive are kept and the missing rest is a typed gather timeout
+    // naming the debtor.
+    #[test]
+    fn hostile_trace_header_is_a_typed_error_not_a_panic() {
+        let tuning = NetTuning::default().with_timeout(std::time::Duration::from_millis(200));
+        let mut mesh = Loopback::mesh_tuned(2, tuning.clone());
+        let mut peer = mesh.remove(1);
+        let root = mesh.remove(0);
+        peer.send(0, &0u64.to_le_bytes()).unwrap();
+        peer.send(0, MetricsRegistry::new().to_json().as_bytes()).unwrap();
+        peer.send(0, &u64::MAX.to_le_bytes()).unwrap();
+        peer.send(0, &[0u8; 16]).unwrap();
+        let opts = RunOpts { trace: true, tuning, ..RunOpts::default() };
+        let got = gather::<u64, _>(root, Vec::new(), MetricsRegistry::new(), Vec::new(), 8, &opts);
+        match got {
+            Err(NetError::Timeout { phase, detail, .. }) => {
+                assert_eq!(phase, "gather");
+                assert!(detail.contains("ranks [1] still owe frames"), "{detail}");
+            }
+            other => panic!("expected a gather timeout, got {:?}", other.map(|_| ())),
+        }
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //!            poll/progress between batches (fine-grained asynchrony).
 //! Drain    — everything flushed; sit in the quiescent GLOBAL BARRIER,
 //!            waking to process (and relay) late arrivals.
-//! Count    — phase 2: sort the received array, accumulate, merge the
-//!            heavy-hitter pairs; publish this PE's slice of the result.
+//! Count    — phase 2: sort and accumulate what was received, one bucket
+//!            of the absorbed runs at a time, merge the heavy-hitter
+//!            pairs; publish this PE's slice of the result.
 //! ```
 //!
 //! The paper's three global synchronization points map to: one implicit
@@ -20,11 +21,10 @@ use std::sync::Arc;
 
 use dakc_io::ReadSet;
 use dakc_kmer::{
-    counts::merge_sorted_counts, extract_into, for_each_span, packed_span_bytes, CanonicalMode,
-    KmerCount, KmerWord,
+    extract_into, for_each_span, packed_span_bytes, CanonicalMode, KmerCount, KmerWord,
 };
 use dakc_sim::{Ctx, Program, Step};
-use dakc_sort::{accumulate_weighted, lsd_radix_sort_by, sort_count, RadixKey};
+use dakc_sort::RadixKey;
 
 use crate::aggregate::{AggStats, Aggregator, ReceiveStore};
 use crate::config::DakcConfig;
@@ -82,12 +82,12 @@ impl<W: KmerWord + RadixKey> DakcPeProgram<W> {
     ) -> Self {
         let cursor = range.start;
         Self {
+            store: ReceiveStore::for_k(cfg.k),
             cfg,
             reads,
             range,
             cursor,
             agg: None,
-            store: ReceiveStore::default(),
             words: Vec::new(),
             sink,
             state: State::Parse,
@@ -140,26 +140,18 @@ impl<W: KmerWord + RadixKey> DakcPeProgram<W> {
         let word_bytes = self.cfg.kmer_bytes::<W>() as u64;
         let store = std::mem::take(&mut self.store);
         let received_occurrences = store.total_occurrences();
-        let received_records = (store.plain.len() + store.pairs.len()) as u64;
-        let ReceiveStore { mut plain, mut pairs, .. } = store;
+        let (plain, pairs) = (store.plain_len() as u64, store.pairs.len() as u64);
+        let received_records = plain + pairs;
 
-        // Sort + accumulate the plain stream (the bulk of the data).
-        ctx.mem_alloc(plain.len() as u64 * word_bytes);
-        costs::charge_hybrid_sort(ctx, plain.len() as u64, word_bytes);
-        costs::charge_accumulate(ctx, plain.len() as u64, word_bytes);
-        let mut plain_counts: Vec<KmerCount<W>> = Vec::new();
-        sort_count(&mut plain, |w, c| plain_counts.push(KmerCount::new(w, c)));
-
-        // Sort + accumulate the heavy pairs (small).
-        costs::charge_hybrid_sort(ctx, pairs.len() as u64, word_bytes + 4);
-        lsd_radix_sort_by(&mut pairs, |p| p.0);
-        costs::charge_accumulate(ctx, pairs.len() as u64, word_bytes + 4);
-        let pair_counts: Vec<KmerCount<W>> = accumulate_weighted(&pairs)
-            .into_iter()
-            .map(|(w, c)| KmerCount::new(w, c))
-            .collect();
-
-        let counts = merge_sorted_counts(&plain_counts, &pair_counts);
+        // Sort + accumulate the plain stream (the bulk of the data), then
+        // the heavy pairs (small). The charges depend only on how many
+        // records arrived, not on how the store holds them.
+        ctx.mem_alloc(plain * word_bytes);
+        costs::charge_hybrid_sort(ctx, plain, word_bytes);
+        costs::charge_accumulate(ctx, plain, word_bytes);
+        costs::charge_hybrid_sort(ctx, pairs, word_bytes + 4);
+        costs::charge_accumulate(ctx, pairs, word_bytes + 4);
+        let counts = store.into_counts();
         // Held, not freed: all PEs sort concurrently on a real node, so
         // the OOM accounting must see the summed peak (see the same note
         // in the BSP baseline).
@@ -190,6 +182,7 @@ impl<W: KmerWord + RadixKey> Program for DakcPeProgram<W> {
                 // batches, exactly like the conveyor progress loop.
                 let agg = self.agg.as_mut().expect("created");
                 agg.progress(ctx, &mut self.store);
+                self.store.absorb_batch();
                 if let Some(e) = agg.take_decode_error() {
                     // The simulator's in-process wire cannot corrupt.
                     panic!("span decode failed on a lossless wire: {e}");
@@ -205,6 +198,7 @@ impl<W: KmerWord + RadixKey> Program for DakcPeProgram<W> {
             State::Drain => {
                 let agg = self.agg.as_mut().expect("created");
                 let processed = agg.progress(ctx, &mut self.store);
+                self.store.absorb_batch();
                 if let Some(e) = agg.take_decode_error() {
                     panic!("span decode failed on a lossless wire: {e}");
                 }

@@ -13,15 +13,16 @@
 //!   single-consumer channel, the producer fills a private batch buffer
 //!   and hands off the whole batch in one channel send — no lock any other
 //!   thread can contend on (the L2 idea in memcpy form);
-//! * at flush time the producer counting-scatters the batch by the k-mer's
-//!   **top radix byte**, so batches arrive pre-partitioned and phase 2
-//!   assembles each of the owner's ≤256 buckets with pure `memcpy`s;
+//! * at flush time the producer counting-scatters the batch by the **top 8
+//!   bits of the 2k-bit window** ([`BucketRun::scatter`]), so batches arrive
+//!   as the runs phase 2 gathers its 256 buckets from with pure `memcpy`s;
 //! * an optional L3 stage pre-accumulates heavy hitters locally before
 //!   routing, shipping `{k-mer, count}` pairs instead of repeats;
-//! * after a phase barrier every owner drains its lanes and sorts and
-//!   counts each cache-resident bucket independently ([`sort_count`], which
-//!   finds the bits the partitioning left varying and emits a bucket's
-//!   `{k-mer, count}` records while it is still in cache).
+//! * after a phase barrier every owner drains its lanes into a
+//!   [`ReceiveStore`] — word runs as they are, span batches expanded one
+//!   staged batch at a time — and counts it exactly as the `Fabric` engines
+//!   do ([`ReceiveStore::into_counts`]: one cache-resident bucket at a time
+//!   through `sort_count`).
 //!
 //! All synchronization is two `std::sync::Barrier` waits — the same
 //! synchronization structure as the distributed algorithm.
@@ -33,13 +34,14 @@ use std::time::{Duration, Instant};
 
 use dakc_io::ReadSet;
 use dakc_kmer::{
-    counts::{merge_disjoint_runs, merge_sorted_counts},
-    extract_into, for_each_span, owner_pe, pack_span, unpack_spans, CanonicalMode, KmerCount,
-    KmerWord,
+    counts::merge_disjoint_runs, extract_into, for_each_span, owner_pe, pack_span, unpack_spans,
+    CanonicalMode, KmerCount, KmerWord,
 };
 use dakc_sim::telemetry::Event;
 use dakc_sim::{EventKind, FlowSampler};
-use dakc_sort::{accumulate_weighted, lsd_radix_sort_by, sort_count, RadixKey};
+use dakc_sort::{sort_count, BucketRun, RadixKey};
+
+use crate::aggregate::ReceiveStore;
 
 /// Result of a threaded run.
 #[derive(Debug, Clone)]
@@ -58,8 +60,11 @@ pub struct ThreadedRun<W> {
 }
 
 /// Default words per route-lane batch (the memcpy analogue of an L2
-/// packet); override via [`ThreadedOpts::route_batch`].
-pub const DEFAULT_ROUTE_BATCH: usize = 1024;
+/// packet); override via [`ThreadedOpts::route_batch`]. A batch becomes one
+/// 256-bucket run, and phase 2 copies every bucket slice of every run: at
+/// 4 Ki words a slice is ≈16 words (two cache lines); at 1 Ki it is four
+/// words per cache miss and `dakc count` runs a quarter slower.
+pub const DEFAULT_ROUTE_BATCH: usize = 4096;
 
 /// Options for [`count_kmers_threaded_opts`].
 #[derive(Debug, Clone, Copy)]
@@ -73,7 +78,8 @@ pub struct ThreadedOpts {
     /// Words a route lane accumulates before the batch is handed to its
     /// owner ([`DEFAULT_ROUTE_BATCH`] by default). Smaller batches hand
     /// off more often (more channel sends, fresher flow samples); larger
-    /// batches amortize the per-batch partition-and-send cost.
+    /// batches amortize the per-batch partition-and-send cost and give
+    /// phase 2 longer bucket slices to gather.
     pub route_batch: usize,
     /// Super-k-mer span routing (L2.5) with the given minimizer length
     /// `m`: producers decompose reads into minimizer spans, route each
@@ -98,13 +104,9 @@ impl Default for ThreadedOpts {
 }
 
 /// One flushed route batch crossing an SPSC lane: the producer's private
-/// buffer, counting-scattered by the k-mer's top radix byte so the owner
-/// can place every bucket run with a `copy_from_slice`.
+/// buffer, already scattered into the run the owner's store takes as is.
 struct RouteBatch<W> {
-    /// k-mers in ascending top-byte bucket order.
-    words: Vec<W>,
-    /// Words per top-byte bucket; prefix sums recover the runs in `words`.
-    counts: Box<[u32; 256]>,
+    run: BucketRun<W>,
     /// Sampled-flow sidecar riding out of band, exactly like the
     /// simulator's `Msg.flows`: (flow id, src worker, open time, send
     /// time). Never changes what the lane carries.
@@ -113,13 +115,6 @@ struct RouteBatch<W> {
 
 /// A heavy-hitter shipment: L3-accumulated `(k-mer, count)` pairs.
 type PairBatch<W> = Vec<(W, u32)>;
-
-/// Index of the most significant radix byte inside the `2k`-bit window.
-/// All bytes above it are zero, so partitioning on it makes concatenated
-/// sorted buckets globally sorted.
-pub(crate) fn top_byte_level(k: usize) -> usize {
-    (2 * k - 1) / 8
-}
 
 /// Counts k-mers with `threads` workers. `l3_buffer` enables the
 /// heavy-hitter pre-accumulation stage with the given `C3`.
@@ -252,7 +247,6 @@ pub fn count_kmers_threaded_opts<W: KmerWord + RadixKey>(
                 record(&mut ev, EventKind::Phase { phase: 0 });
 
                 // --- Phase 1: parse and route ---
-                let bucket_level = top_byte_level(k);
                 let mut route: Vec<Vec<W>> =
                     (0..threads).map(|_| Vec::with_capacity(route_batch)).collect();
                 let mut pair_route: Vec<Vec<(W, u32)>> = vec![Vec::new(); threads];
@@ -274,10 +268,10 @@ pub fn count_kmers_threaded_opts<W: KmerWord + RadixKey>(
                         }
                     }
                 };
-                // Batch handoff: counting-scatter the filled buffer by top
-                // radix byte into a fresh batch and send it down the SPSC
-                // lane. The fill buffer is retained and cleared — the
-                // double-buffer swap that keeps the lane contention-free.
+                // Batch handoff: counting-scatter the filled buffer into a
+                // fresh run and send it down the SPSC lane. The fill buffer
+                // is retained and cleared — the double-buffer swap that
+                // keeps the lane contention-free.
                 let flush_owner = |owner: usize,
                                    route: &mut [Vec<W>],
                                    route_flow: &mut [Option<(u64, f64)>],
@@ -286,26 +280,11 @@ pub fn count_kmers_threaded_opts<W: KmerWord + RadixKey>(
                     if buf.is_empty() {
                         return;
                     }
-                    let mut counts = Box::new([0u32; 256]);
-                    for w in buf.iter() {
-                        counts[w.radix_at(bucket_level) as usize] += 1;
-                    }
-                    let mut offs = [0u32; 256];
-                    let mut sum = 0u32;
-                    for (o, &c) in offs.iter_mut().zip(counts.iter()) {
-                        *o = sum;
-                        sum += c;
-                    }
-                    let mut words = vec![W::zero(); buf.len()];
-                    for &w in buf.iter() {
-                        let b = w.radix_at(bucket_level) as usize;
-                        words[offs[b] as usize] = w;
-                        offs[b] += 1;
-                    }
+                    let run = BucketRun::scatter(buf, 2 * k as u32, t);
                     record(ev, EventKind::MsgSend {
                         dst: owner as u32,
                         tag: 0,
-                        bytes: (words.len() * word_bytes) as u32,
+                        bytes: (run.len() * word_bytes) as u32,
                     });
                     let flow = route_flow[owner].take().map(|(flow, t_open)| {
                         let t_send = start.elapsed().as_secs_f64();
@@ -320,12 +299,12 @@ pub fn count_kmers_threaded_opts<W: KmerWord + RadixKey>(
                         // Depth of the receiver's staged words across all
                         // of its lanes.
                         let depth =
-                            staged[owner].fetch_add(words.len(), Ordering::Relaxed) + words.len();
+                            staged[owner].fetch_add(run.len(), Ordering::Relaxed) + run.len();
                         record(ev, EventKind::QueueDepth { depth: depth as u32 });
                     }
                     buf.clear();
                     wtx[owner]
-                        .send(RouteBatch { words, counts, flow })
+                        .send(RouteBatch { run, flow })
                         .expect("owner holds its receivers past the barrier");
                 };
                 let drain_l3 = |l3: &mut Vec<W>,
@@ -464,84 +443,40 @@ pub fn count_kmers_threaded_opts<W: KmerWord + RadixKey>(
                 record(&mut ev, EventKind::Phase { phase: 1 });
 
                 // --- Phase 2: drain lanes, bucket, sort, accumulate ---
-                let batches: Vec<RouteBatch<W>> =
-                    wrx.iter().flat_map(|rx| rx.try_iter()).collect();
-                // Close sampled flows: the lane drain is the consume
-                // point, so drain residency is barrier-exit → now.
-                if ev.is_some() {
-                    let now = start.elapsed().as_secs_f64();
-                    for batch in &batches {
-                        if let Some((flow, src, t_open, t_send)) = batch.flow {
-                            record(&mut ev, EventKind::FlowRecv {
-                                flow,
-                                channel: 0,
-                                src,
-                                l3_s: 0.0,
-                                l2_s: t_send - t_open,
-                                l1_s: 0.0,
-                                l0_s: 0.0,
-                                net_s: 0.0,
-                                drain_s: now - t_send,
-                                e2e_s: now - t_open,
-                            });
-                        }
+                // Word runs arrive scattered; span batches are expanded
+                // into the store's staging buffer and absorbed a batch at a
+                // time, so neither lane's partition is ever one array. The
+                // lane drain is where sampled flows close: drain residency
+                // is barrier-exit → now.
+                let mut store = ReceiveStore::<W>::for_k(k);
+                let now = start.elapsed().as_secs_f64();
+                for batch in wrx.iter().flat_map(|rx| rx.try_iter()) {
+                    if let Some((flow, src, t_open, t_send)) = batch.flow {
+                        record(&mut ev, EventKind::FlowRecv {
+                            flow,
+                            channel: 0,
+                            src,
+                            l3_s: 0.0,
+                            l2_s: t_send - t_open,
+                            l1_s: 0.0,
+                            l0_s: 0.0,
+                            net_s: 0.0,
+                            drain_s: now - t_send,
+                            e2e_s: now - t_open,
+                        });
                     }
+                    store.push_run(batch.run);
                 }
-
-                // Gather, sort and count one bucket at a time, each while
-                // it is in cache: every batch is already scattered by top
-                // byte, so a bucket is one `extend_from_slice` per batch
-                // and the partition is never assembled in memory.
-                // Concatenated buckets are globally sorted because the
-                // bucket byte is the most significant in-window byte, and
-                // runs never span buckets — equal words share one.
-                let mut plain: Vec<KmerCount<W>> = Vec::new();
-                let mut count = |words: &mut [W]| {
-                    sort_count(words, |w, c| plain.push(KmerCount::new(w, c)))
-                };
-                let mut bucket: Vec<W> = Vec::new();
-                let mut taken = vec![0usize; batches.len()];
-                for bk in 0..256 {
-                    bucket.clear();
-                    for (batch, off) in batches.iter().zip(taken.iter_mut()) {
-                        let c = batch.counts[bk] as usize;
-                        bucket.extend_from_slice(&batch.words[*off..*off + c]);
-                        *off += c;
-                    }
-                    count(&mut bucket);
+                let canon = canonical == CanonicalMode::Canonical;
+                for buf in srx.iter().flat_map(|rx| rx.try_iter()) {
+                    unpack_spans(&buf, k, canon, &mut store.plain)
+                        .expect("in-process span lanes are lossless");
+                    store.absorb_batch();
                 }
-                drop(batches);
-
-                // Span lanes replace the word lanes in superkmer mode: the
-                // word drain above saw nothing, so expand the received
-                // spans into k-mer words here and count the whole
-                // partition (spans arrive unscattered — there is no
-                // top-byte pre-partition to exploit).
-                if superkmer.is_some() {
-                    let canon = canonical == CanonicalMode::Canonical;
-                    bucket.clear();
-                    for rx in &srx {
-                        for buf in rx.try_iter() {
-                            unpack_spans(&buf, k, canon, &mut bucket)
-                                .expect("in-process span lanes are lossless");
-                        }
-                    }
-                    count(&mut bucket);
+                for batch in prx.iter().flat_map(|rx| rx.try_iter()) {
+                    store.pairs.extend(batch);
                 }
-                drop(bucket);
-
-                let mut pairs: Vec<(W, u32)> = Vec::new();
-                for rx in &prx {
-                    for batch in rx.try_iter() {
-                        pairs.extend(batch);
-                    }
-                }
-                lsd_radix_sort_by(&mut pairs, |p| p.0);
-                let heavy: Vec<KmerCount<W>> = accumulate_weighted(&pairs)
-                    .into_iter()
-                    .map(|(w, c)| KmerCount::new(w, c))
-                    .collect();
-                *outputs[t].lock().unwrap() = Some(merge_sorted_counts(&plain, &heavy));
+                *outputs[t].lock().unwrap() = Some(store.into_counts());
                 if let Some(ev) = ev {
                     *traces[t].lock().unwrap() = ev;
                 }

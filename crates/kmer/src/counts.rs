@@ -64,6 +64,24 @@ pub fn merge_sorted_counts<W: KmerWord>(
     out
 }
 
+/// [`merge_sorted_counts`] of two tables the caller is done with: when one
+/// side is empty (no HEAVY pair arrives in any run with L3 off) the other is
+/// the result as it stands, not a copy of it.
+pub fn merge_sorted_counts_owned<W: KmerWord>(
+    a: Vec<KmerCount<W>>,
+    b: Vec<KmerCount<W>>,
+) -> Vec<KmerCount<W>> {
+    debug_assert!(is_sorted_strict(&a), "left input not strictly sorted");
+    debug_assert!(is_sorted_strict(&b), "right input not strictly sorted");
+    if b.is_empty() {
+        a
+    } else if a.is_empty() {
+        b
+    } else {
+        merge_sorted_counts(&a, &b)
+    }
+}
+
 /// Merges sorted count runs whose k-mer sets are disjoint — one per owner
 /// PE, thread, rank or bin — into the one sorted table. `std`'s stable sort
 /// is a natural merge sort: it finds the ascending runs of the
@@ -225,6 +243,15 @@ mod tests {
         let a = vec![kc(1, 1)];
         assert_eq!(merge_sorted_counts(&a, &[]), a);
         assert_eq!(merge_sorted_counts(&[], &a), a);
+        // By value, the non-empty side comes back as the same allocation.
+        let at = a.as_ptr();
+        let a = merge_sorted_counts_owned(a, Vec::new());
+        let a = merge_sorted_counts_owned(Vec::new(), a);
+        assert_eq!((a.as_ptr(), a.as_slice()), (at, &[kc(1, 1)][..]));
+        assert_eq!(
+            merge_sorted_counts_owned(a, vec![kc(1, 2), kc(4, 4)]),
+            vec![kc(1, 3), kc(4, 4)]
+        );
     }
 
     #[test]

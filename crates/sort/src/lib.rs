@@ -15,6 +15,9 @@
 //!   L1-sized buckets are finished by the comparison sort, and
 //!   [`sort_count`] emits each bucket's `{key, run length}` runs while it
 //!   is still in cache. Every counting engine's phase 2 is this kernel.
+//! * [`runs`] — how the engines feed that kernel without ever holding the
+//!   received array: arrivals are counting-scattered one cache-resident
+//!   batch at a time into [`BucketRuns`] and counted one bucket at a time.
 //! * [`parallel`] — multi-threaded radix sort on scoped threads
 //!   (the intra-node hybrid parallelism of HySortK and KMC3).
 //! * [`quicksort`] — a classic median-of-three quicksort: the sort used by
@@ -33,6 +36,7 @@ pub mod lsd;
 pub mod msd;
 pub mod parallel;
 pub mod quicksort;
+pub mod runs;
 
 pub use accumulate::{accumulate, accumulate_weighted, distinct_runs_estimate};
 pub use hybrid::{hybrid_sort, hybrid_sort_from, in_cache_keys, sort_count, IN_CACHE_BYTES};
@@ -40,6 +44,7 @@ pub use lsd::{lsd_radix_sort, lsd_radix_sort_by};
 pub use msd::msd_radix_sort;
 pub use parallel::parallel_radix_sort;
 pub use quicksort::quicksort;
+pub use runs::{BucketRun, BucketRuns, STAGE_WORDS};
 
 use std::ops::{BitOr, BitXor};
 

@@ -4,7 +4,7 @@
 use dakc_sort::{
     accumulate, accumulate_weighted, distinct_runs_estimate, hybrid_sort, hybrid_sort_from,
     in_cache_keys, lsd_radix_sort, lsd_radix_sort_by, msd_radix_sort, parallel_radix_sort,
-    quicksort, sort_count, RadixKey,
+    quicksort, sort_count, BucketRuns, RadixKey, STAGE_WORDS,
 };
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -40,7 +40,112 @@ fn keys(n: usize, distinct: usize, bits: u32, seed: u64) -> Vec<u128> {
     (0..n).map(|_| pool[next() as usize % pool.len()]).collect()
 }
 
+/// `v` cut into batches of the given sizes (the last takes the rest),
+/// absorbed from sources 0, 1, 2, 0, … and counted bucket by bucket.
+fn absorbed<K: RadixKey>(v: &[K], key_bits: u32, batches: &[usize]) -> BucketRuns<K> {
+    let mut runs = BucketRuns::new(key_bits);
+    let mut staged = Vec::new();
+    let mut rest = v;
+    for (i, &n) in batches.iter().enumerate() {
+        let n = if i + 1 == batches.len() { rest.len() } else { n.min(rest.len()) };
+        staged.extend_from_slice(&rest[..n]);
+        rest = &rest[n..];
+        runs.absorb(&mut staged, i % 3);
+        assert!(staged.is_empty(), "absorb leaves the staging buffer empty");
+    }
+    assert_eq!(runs.len(), v.len());
+    runs
+}
+
+fn counted<K: RadixKey>(runs: BucketRuns<K>) -> Vec<(K, u32)> {
+    let mut out = Vec::new();
+    runs.sort_count(|k, c| out.push((k, c)));
+    out
+}
+
+/// However the input is cut into batches, counting the runs bucket by
+/// bucket is `sort_count` of the concatenation.
+fn runs_match_sort_count<K: RadixKey + std::fmt::Debug>(v: &[K], k: u32, batches: &[usize]) {
+    let mut expect = Vec::new();
+    sort_count(&mut v.to_vec(), |key, c| expect.push((key, c)));
+    assert_eq!(counted(absorbed(v, 2 * k, batches)), expect, "k = {k}, batches {batches:?}");
+}
+
+/// Batch sizes: empty, one word, exactly the stage constant, one far above
+/// it, and a few ordinary ones.
+fn batch_sizes() -> impl Strategy<Value = Vec<usize>> {
+    let sizes = vec![0, 1, 2, 33, 1000, STAGE_WORDS - 1, STAGE_WORDS, 5 * STAGE_WORDS + 3];
+    prop::collection::vec(prop::sample::select(sizes), 1..7)
+}
+
+/// k with 2k below 8, equal to 8, filling a word and straddling one.
+fn ks(max: u32) -> impl Strategy<Value = u32> {
+    prop::sample::select([1, 3, 4, 15, 16, 31, 32, 33, 64].into_iter().filter(|&k| k <= max).collect())
+}
+
 proptest! {
+    #[test]
+    fn runs_match_sort_count_u32(k in ks(16), batches in batch_sizes(), dup in 1usize..20, seed in any::<u64>()) {
+        let n: usize = batches.iter().sum();
+        let v: Vec<u32> = keys(n, n / dup, 2 * k, seed).iter().map(|&x| x as u32).collect();
+        runs_match_sort_count(&v, k, &batches);
+    }
+
+    #[test]
+    fn runs_match_sort_count_u64(k in ks(32), batches in batch_sizes(), dup in 1usize..20, seed in any::<u64>()) {
+        let n: usize = batches.iter().sum();
+        let v: Vec<u64> = keys(n, n / dup, 2 * k, seed).iter().map(|&x| x as u64).collect();
+        runs_match_sort_count(&v, k, &batches);
+    }
+
+    #[test]
+    fn runs_match_sort_count_u128(k in ks(64), batches in batch_sizes(), dup in 1usize..20, seed in any::<u64>()) {
+        let n: usize = batches.iter().sum();
+        runs_match_sort_count(&keys(n, n / dup, 2 * k, seed), k, &batches);
+    }
+
+    #[test]
+    fn runs_with_a_dominant_key(batches in batch_sizes(), share in 51usize..100, seed in any::<u64>()) {
+        // One key holds more than half of all words, the (AATGG)n shape:
+        // its bucket goes through the same per-bucket `sort_count`.
+        let n: usize = batches.iter().sum();
+        let mut v: Vec<u64> = keys(n, n, 62, seed).iter().map(|&x| x as u64).collect();
+        for (i, x) in v.iter_mut().enumerate() {
+            if i % 100 < share {
+                *x = 0x0303_0202_0000;
+            }
+        }
+        runs_match_sort_count(&v, 31, &batches);
+    }
+
+    #[test]
+    fn dropping_a_source_is_never_having_received_it(
+        sizes in prop::collection::vec(0usize..3000, 3..12),
+        dead in 0usize..3,
+        seed in any::<u64>(),
+    ) {
+        // Sources 0, 1, 2 interleave batch by batch; after all absorbs,
+        // dropping one leaves exactly the other two's batches.
+        let n: usize = sizes.iter().sum();
+        let v: Vec<u64> = keys(n, n / 3, 62, seed).iter().map(|&x| x as u64).collect();
+        let mut batches = sizes.clone();
+        batches.push(0); // `absorbed` gives the last batch the rest: none.
+        let mut all = absorbed(&v, 62, &batches);
+        let (mut kept, mut at) = (Vec::new(), 0);
+        for (i, &len) in sizes.iter().enumerate() {
+            if i % 3 != dead {
+                kept.extend_from_slice(&v[at..at + len]);
+            }
+            at += len;
+        }
+        prop_assert_eq!(all.drop_source(dead), n - kept.len());
+        prop_assert_eq!(all.len(), kept.len());
+        prop_assert_eq!(all.drop_source(dead), 0);
+        let mut expect = Vec::new();
+        sort_count(&mut kept, |key, c| expect.push((key, c)));
+        prop_assert_eq!(counted(all), expect);
+    }
+
     #[test]
     fn sort_count_matches_std_u32(n in around_bound::<u32>(), dup in 1usize..20, bits in 1u32..=32, seed in any::<u64>()) {
         let v: Vec<u32> = keys(n, n / dup, bits, seed).iter().map(|&x| x as u32).collect();

@@ -3,7 +3,7 @@
 //! default (debug builds take minutes); CI runs it with
 //! `cargo test --release -p dakc-sort -- --include-ignored`.
 
-use dakc_sort::{accumulate, hybrid_sort, sort_count, RadixKey};
+use dakc_sort::{accumulate, hybrid_sort, sort_count, BucketRuns, RadixKey, STAGE_WORDS};
 
 fn xorshift(seed: u64) -> impl FnMut() -> u64 {
     let mut x = seed;
@@ -55,4 +55,36 @@ fn eight_million_u64_keys() {
 fn two_million_u128_keys() {
     // k = 33: a 66-bit window across the u64 boundary.
     check(kmer_like(1 << 21, 66, 0xFACE));
+}
+
+#[test]
+#[ignore = "release-mode scale test"]
+fn four_million_keys_in_hundreds_of_runs() {
+    // One `uniform_k31`-sized rank: 2^22 62-bit keys arriving as ≈350 runs
+    // of uneven length (a stage constant give or take, a packet, nothing).
+    let v: Vec<u64> = kmer_like(1 << 22, 62, 0xA551).into_iter().map(|x| x as u64).collect();
+    let mut expect = Vec::new();
+    sort_count(&mut v.clone(), |k, c| expect.push((k, c)));
+
+    let mut runs = BucketRuns::new(62);
+    let mut staged = Vec::new();
+    let mut next = xorshift(0xBEEF);
+    let mut rest = v.as_slice();
+    let mut absorbs = 0;
+    while !rest.is_empty() {
+        let n = match next() % 8 {
+            0 => 0,
+            1 => 32,
+            _ => STAGE_WORDS / 2 + next() as usize % STAGE_WORDS,
+        }
+        .min(rest.len());
+        staged.extend_from_slice(&rest[..n]);
+        rest = &rest[n..];
+        runs.absorb(&mut staged, absorbs % 3);
+        absorbs += 1;
+    }
+    assert!(absorbs > 300 && runs.len() == v.len(), "{absorbs} absorbs");
+    let mut counted = Vec::new();
+    runs.sort_count(|k, c| counted.push((k, c)));
+    assert!(counted == expect, "bucket-by-bucket count differs from sort_count");
 }

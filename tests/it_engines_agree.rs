@@ -173,9 +173,15 @@ fn agree_with_a_map<W: KmerWord + RadixKey + std::fmt::Debug>(k: usize) {
     assert_eq!(threaded.counts, want, "threaded + L3 k={k}");
     let mut cfg = DakcConfig::scaled_defaults(k);
     cfg.canonical = CanonicalMode::Canonical;
-    let sim = count_kmers_sim::<W>(&reads, &cfg, &MachineConfig::test_machine(1, 2)).unwrap();
+    let spans = cfg.clone().with_superkmer(k.min(7));
+    let machine = MachineConfig::test_machine(1, 2);
+    let sim = count_kmers_sim::<W>(&reads, &cfg, &machine).unwrap();
     assert_eq!(sim.counts, want, "sim k={k}");
-    let net = count_kmers_loopback::<W>(&reads, &cfg.with_superkmer(7), 2).unwrap();
+    let sim = count_kmers_sim::<W>(&reads, &spans, &machine).unwrap();
+    assert_eq!(sim.counts, want, "sim spans k={k}");
+    let net = count_kmers_loopback::<W>(&reads, &cfg, 2).unwrap();
+    assert_eq!(net.counts, want, "loopback words k={k}");
+    let net = count_kmers_loopback::<W>(&reads, &spans, 2).unwrap();
     assert_eq!(net.counts, want, "loopback spans k={k}");
     let kmc3 = count_kmers_kmc3::<W>(
         &reads,
@@ -185,11 +191,14 @@ fn agree_with_a_map<W: KmerWord + RadixKey + std::fmt::Debug>(k: usize) {
 }
 
 /// k = 32 fills every bit of a `u64`; k = 33 is a 66-bit window that
-/// straddles the two halves of a `u128`.
+/// straddles the two halves of a `u128`; k = 64 fills the `u128`; at k = 3
+/// the window (6 bits) is narrower than the phase-2 bucket digit.
 #[test]
 fn engines_agree_at_the_word_boundary() {
+    agree_with_a_map::<u64>(3);
     agree_with_a_map::<u64>(32);
     agree_with_a_map::<u128>(33);
+    agree_with_a_map::<u128>(64);
 }
 
 #[test]
