@@ -734,6 +734,21 @@ pub fn parse_args(argv: Vec<String>) -> Result<Command, String> {
             } else if a.max_respawns.is_some() {
                 return Err(format!("{sub}: --max-respawns requires --recover"));
             }
+            if a.backend == NetBackend::Loopback {
+                // Fault injection, heartbeats and the live status table
+                // belong to the process supervisor, which loopback
+                // ranks (threads of one process) do not have.
+                let unsupported = [
+                    ("--chaos-seed", a.chaos_seed.is_some()),
+                    ("--chaos-profile", a.chaos_profile.is_some()),
+                    ("--heartbeat-interval", a.heartbeat_interval.is_some()),
+                    ("--status", a.status),
+                    ("--status-interval", a.status_interval.is_some()),
+                ];
+                if let Some((flag, _)) = unsupported.iter().find(|(_, set)| *set) {
+                    return Err(format!("{sub}: {flag} requires the tcp backend"));
+                }
+            }
             if hidden {
                 let rank = rank.ok_or("worker: --rank is required")?;
                 if rank >= a.ranks {
@@ -1229,6 +1244,23 @@ mod tests {
         assert!(parse_args(argv("launch in.fq --recover --trace t.json")).is_err());
         // Loopback ranks share one process: nothing to respawn.
         assert!(parse_args(argv("launch in.fq --backend loopback --recover")).is_err());
+    }
+
+    #[test]
+    fn loopback_rejects_supervisor_only_flags() {
+        for flag in [
+            "--chaos-seed 3",
+            "--chaos-profile die:1@40",
+            "--heartbeat-interval 50ms",
+            "--status",
+            "--status-interval 1s",
+        ] {
+            let err = parse_args(argv(&format!("launch in.fq --backend loopback {flag}")))
+                .expect_err(flag);
+            let name = flag.split(' ').next().unwrap();
+            assert!(err.contains(name) && err.contains("tcp backend"), "{flag}: {err}");
+            assert!(parse_args(argv(&format!("launch in.fq --backend tcp {flag}"))).is_ok());
+        }
         // `--epoch` is wired by the launcher, not user-settable.
         assert!(parse_args(argv("launch in.fq --recover --epoch 1")).is_err());
         // The worker receives the forwarded recovery flags.

@@ -322,7 +322,7 @@ fn launch_loopback<W: KmerWord + RadixKey + Send>(
     cfg: &DakcConfig,
     a: &LaunchArgs,
 ) -> Result<(), String> {
-    let opts = RunOpts { trace: a.trace.is_some(), ..RunOpts::default() };
+    let opts = RunOpts { tuning: net_tuning(a), trace: a.trace.is_some(), ..RunOpts::default() };
     let run = count_kmers_loopback_opts::<W>(reads, cfg, a.ranks, &opts)
         .map_err(|e| format!("loopback: {e}"))?;
     emit_net_run(&run, a)

@@ -722,8 +722,9 @@ where
 }
 
 /// [`count_kmers_loopback`] with explicit [`RunOpts`] — how a loopback
-/// launch turns on the distributed flight recorder. The monitor (if any)
-/// is shared by every rank thread, so leave it unset here.
+/// launch turns on the distributed flight recorder; the mesh takes its
+/// deadlines from `opts.tuning`. The monitor (if any) is shared by every
+/// rank thread, so leave it unset here.
 pub fn count_kmers_loopback_opts<W>(
     reads: &ReadSet,
     cfg: &DakcConfig,
@@ -733,7 +734,7 @@ pub fn count_kmers_loopback_opts<W>(
 where
     W: KmerWord + RadixKey + Send,
 {
-    let mesh = Loopback::mesh(ranks);
+    let mesh = Loopback::mesh_tuned(ranks, opts.tuning.clone());
     std::thread::scope(|s| {
         let handles: Vec<_> = mesh
             .into_iter()

@@ -48,7 +48,6 @@ pub mod config;
 pub mod costs;
 pub mod distributed;
 pub mod engine;
-pub mod filtered;
 pub mod overlap;
 pub mod program;
 pub mod threaded;
@@ -63,7 +62,6 @@ pub use distributed::{
     run_rank, run_rank_on, run_rank_opts, NetRun, Partition, RunOpts,
 };
 pub use engine::{count_kmers_sim, count_kmers_sim_traced, DakcRun};
-pub use filtered::{count_kmers_filtered, FilteredRun};
 pub use overlap::{count_kmers_sim_overlap, OverlapRun, SortedRunStore};
 pub use program::DakcPeProgram;
 pub use threaded::{

@@ -26,7 +26,6 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod bloom;
 pub mod counts;
 pub mod encode;
 pub mod extract;
@@ -35,7 +34,6 @@ pub mod kmer;
 pub mod minimizer;
 pub mod spectrum;
 
-pub use bloom::BloomFilter;
 pub use counts::KmerCount;
 pub use encode::{complement_code, decode_base, encode_base, is_dna_base};
 pub use extract::{extract_into, kmers_of_read, CanonicalMode, KmerIter};

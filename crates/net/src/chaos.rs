@@ -541,6 +541,25 @@ mod tests {
     use super::*;
     use crate::loopback::Loopback;
 
+    /// The conformance suite through a chaos wrapper with every fault off.
+    mod off_over_loopback {
+        use super::*;
+
+        conformance_suite!(|n, tuning| Loopback::mesh_tuned(n, tuning)
+            .into_iter()
+            .map(|t| ChaosTransport::new(t, ChaosConfig::off()))
+            .collect());
+    }
+
+    mod off_over_tcp {
+        use super::*;
+
+        conformance_suite!(|n, tuning| crate::tcp::tests::tcp_mesh_tuned(n, tuning)
+            .into_iter()
+            .map(|t| ChaosTransport::new(t, ChaosConfig::off()))
+            .collect());
+    }
+
     #[test]
     fn splitmix_is_stable() {
         // Reference values pin the stream so seeds stay meaningful across

@@ -10,7 +10,7 @@
 //! one L0 `PUT` buffer verbatim — the conveyor's record wire format
 //! (routing header, channel id, length prefix, payload) is opaque here.
 //! `Barrier` and `Term` frames carry the collective-protocol payloads of
-//! [`crate::transport`].
+//! [`crate::protocol`].
 //!
 //! [`FrameDecoder`] is incremental: feed it whatever byte ranges the
 //! socket returns (frames may arrive split at any offset, or many per

@@ -9,12 +9,17 @@
 //! * [`transport`] — the [`Transport`] trait: rank identity, nonblocking
 //!   `send`/`try_recv` of data frames, `flush`, a full barrier, and a
 //!   four-counter (Mattern/Dijkstra-style) termination-detection round;
-//! * [`loopback`] — an in-process backend over shared queues, for tests
-//!   and single-host thread-per-rank runs;
-//! * [`tcp`] — a backend over `std::net::TcpStream` with per-peer buffered
-//!   writers sized to the L0 buffer config, reader threads feeding a
-//!   shared inbox, and all-to-all connection setup from an address list or
-//!   a rendezvous directory;
+//! * [`protocol`] — the collective protocol as a sans-IO state machine:
+//!   barriers, termination rounds, incarnation fencing and the logical
+//!   half of recovery, plus the frame bound [`MAX_PAYLOAD`];
+//! * [`endpoint`] — [`endpoint::Endpoint`], the one [`Transport`]
+//!   implementation: the protocol core over a backend's byte mover
+//!   ([`endpoint::Wire`]) and one inbox of events;
+//! * [`loopback`] — the in-process byte mover (one channel per rank), for
+//!   tests and single-host thread-per-rank runs;
+//! * [`tcp`] — the `std::net::TcpStream` byte mover: per-peer buffered
+//!   writers sized to the L0 buffer config, reader threads feeding the
+//!   inbox, rendezvous-directory setup and the recovery listener;
 //! * [`fabric`] — [`NetFabric`], the [`dakc_conveyors::Fabric`]
 //!   implementation that lets the whole L1–L3 cascade (HEAVY channel and
 //!   `{kmer, count}` wire format included) run unchanged over a
@@ -35,12 +40,18 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
+#[cfg(test)]
+#[macro_use]
+mod conformance;
+
 pub mod chaos;
 pub mod clock;
+pub mod endpoint;
 pub mod error;
 pub mod fabric;
 pub mod frame;
 pub mod loopback;
+pub mod protocol;
 pub mod supervisor;
 pub mod tcp;
 pub mod transport;
@@ -50,7 +61,8 @@ pub use clock::{estimate_offset, sync_offset, PingSample, DEFAULT_PINGS};
 pub use error::{NetError, NetResult};
 pub use fabric::NetFabric;
 pub use frame::{encode_frame, FrameDecoder, FrameError, FrameKind, MAX_FRAME_LEN};
-pub use loopback::{Loopback, TimedBarrier};
+pub use loopback::Loopback;
+pub use protocol::MAX_PAYLOAD;
 pub use supervisor::{
     send_obituary, send_obituary_inc, Heartbeat, HeartbeatSender, HeartbeatState, PeerHealth,
     Phase, Supervisor, NO_BLAME,

@@ -257,19 +257,6 @@ impl NetStats {
             m.inc(&format!("net.rank{me}.to{peer}.bytes_sent"), p.bytes_sent);
         }
     }
-
-    /// Exports these counters as a standalone registry — [`fold_into`]
-    /// against a fresh target. This is the shape `dakc analyze` diffs:
-    /// total and per-peer bytes-on-wire, so a `--superkmer` run's
-    /// compression shows up as a `net.*.bytes_sent` delta against a
-    /// baseline run's export.
-    ///
-    /// [`fold_into`]: NetStats::fold_into
-    pub fn export(&self, me: Rank) -> MetricsRegistry {
-        let mut m = MetricsRegistry::new();
-        self.fold_into(me, &mut m);
-        m
-    }
 }
 
 /// A completed peer recovery: the peer's new incarnation reconnected and

@@ -5,7 +5,8 @@
 //! is grouped by `owner_pe(key, servers)` — the same hash that routed
 //! the k-mers at count time, so every key's answer lives on exactly the
 //! rank the group is sent to — and shipped as one LOOKUP frame per
-//! owner: the L2-aggregation idea applied to reads. Per-key and
+//! owner (split into several when the group would exceed the transport's
+//! frame bound): the L2-aggregation idea applied to reads. Per-key and
 //! per-batch latencies feed `flow.serve.*` histograms in the standard
 //! flow-latency bounds, so `--metrics` output reports lookup p50/p95/p99
 //! through the existing plumbing.
@@ -30,7 +31,8 @@ use dakc_sim::telemetry::{metrics::LATENCY_BOUNDS, MetricsRegistry};
 
 use crate::error::{ServeError, ServeResult};
 use crate::wire::{
-    decode_ready, decode_response, encode_request, Ready, Request, Response,
+    decode_ready, decode_response, encode_request, lookup_keys_per_frame, Ready, Request,
+    Response,
 };
 
 /// One key's outcome in a batch lookup.
@@ -288,7 +290,8 @@ impl<W: KmerWord, T: Transport> QueryClient<W, T> {
     }
 
     /// Looks up a batch of keys. Keys are grouped by owner rank and
-    /// shipped as one frame per owner; results come back in key order.
+    /// shipped as one frame per owner — several when the group would
+    /// exceed the frame bound; results come back in key order.
     /// A dead or deadline-silent holder fails over to the next live
     /// replica of the owner's shard; only when every copy is gone do
     /// the owner's keys yield [`LookupResult::Unavailable`] (and the
@@ -306,27 +309,34 @@ impl<W: KmerWord, T: Transport> QueryClient<W, T> {
         for (i, &w) in keys.iter().enumerate() {
             positions[owner_pe(w, self.servers)].push(i as u32);
         }
-        // In-flight request id → (owner whose keys it carries, replica
-        // attempt that sent it).
-        let mut pending: HashMap<u64, (usize, usize)> = HashMap::new();
-        let mut unavailable: Vec<usize> = Vec::new();
+        // Each request carries one chunk of an owner's group, sized so
+        // the LOOKUP frame stays under the transport's frame bound.
         let wb = self.word_bytes;
+        let per_frame = lookup_keys_per_frame(wb);
+        let chunk = |owner: usize, start: usize| {
+            let pos = &positions[owner];
+            &pos[start..pos.len().min(start + per_frame)]
+        };
+        // In-flight request id → (owner whose keys it carries, start of
+        // its chunk in the owner's group, replica attempt that sent it).
+        let mut pending: HashMap<u64, (usize, usize, usize)> = HashMap::new();
+        let mut unavailable: Vec<usize> = Vec::new();
         for (owner, pos) in positions.iter().enumerate() {
-            if pos.is_empty() {
-                continue;
-            }
-            let group: Vec<W> = pos.iter().map(|&i| keys[i as usize]).collect();
-            match self.send_with_failover(owner, 0, |id, _| {
-                encode_request(&Request::Lookup { id, keys: group.clone() }, wb)
-            })? {
-                Some((j, id)) => {
-                    pending.insert(id, (owner, j));
-                }
-                None => {
-                    for &i in pos {
-                        results[i as usize] = LookupResult::Unavailable { rank: owner };
+            for start in (0..pos.len()).step_by(per_frame) {
+                let group: Vec<W> =
+                    chunk(owner, start).iter().map(|&i| keys[i as usize]).collect();
+                match self.send_with_failover(owner, 0, |id, _| {
+                    encode_request(&Request::Lookup { id, keys: group.clone() }, wb)
+                })? {
+                    Some((j, id)) => {
+                        pending.insert(id, (owner, start, j));
                     }
-                    unavailable.push(owner);
+                    None => {
+                        for &i in chunk(owner, start) {
+                            results[i as usize] = LookupResult::Unavailable { rank: owner };
+                        }
+                        unavailable.push(owner);
+                    }
                 }
             }
         }
@@ -348,16 +358,17 @@ impl<W: KmerWord, T: Transport> QueryClient<W, T> {
                     let Response::Lookup { id, counts } = resp else {
                         continue; // stale aggregate from an abandoned call
                     };
-                    let Some((owner, attempt)) = pending.remove(&id) else {
+                    let Some((owner, start, attempt)) = pending.remove(&id) else {
                         continue; // stale reply from a timed-out batch
                     };
-                    if counts.len() != positions[owner].len() {
+                    let asked = chunk(owner, start);
+                    if counts.len() != asked.len() {
                         return Err(ServeError::Wire {
                             from: src,
                             detail: format!(
                                 "lookup reply has {} counts for {} keys",
                                 counts.len(),
-                                positions[owner].len()
+                                asked.len()
                             ),
                         });
                     }
@@ -367,7 +378,7 @@ impl<W: KmerWord, T: Transport> QueryClient<W, T> {
                         // the detour cost end to end.
                         self.metrics.observe("flow.serve.failover_s", LATENCY_BOUNDS, elapsed);
                     }
-                    for (&i, c) in positions[owner].iter().zip(counts) {
+                    for (&i, c) in asked.iter().zip(counts) {
                         results[i as usize] = LookupResult::Count(c);
                         self.metrics.observe("flow.serve.lookup_s", LATENCY_BOUNDS, elapsed);
                     }
@@ -375,30 +386,30 @@ impl<W: KmerWord, T: Transport> QueryClient<W, T> {
                 }
                 None => {
                     let timed_out = last_progress.elapsed() >= deadline;
-                    let lost: Vec<(u64, usize, usize)> = pending
+                    let lost: Vec<(u64, usize, usize, usize)> = pending
                         .iter()
-                        .filter(|&(_, &(o, j))| {
+                        .filter(|&(_, &(o, _, j))| {
                             timed_out || self.transport.peer_dead(self.replica_rank(o, j))
                         })
-                        .map(|(&id, &(o, j))| (id, o, j))
+                        .map(|(&id, &(o, start, j))| (id, o, start, j))
                         .collect();
-                    for (id, owner, attempt) in lost {
+                    for (id, owner, start, attempt) in lost {
                         pending.remove(&id);
                         let holder = self.replica_rank(owner, attempt);
                         let why = if timed_out { "deadline-silent" } else { "disconnected" };
                         self.mark_dead(holder, why);
                         let group: Vec<W> =
-                            positions[owner].iter().map(|&i| keys[i as usize]).collect();
+                            chunk(owner, start).iter().map(|&i| keys[i as usize]).collect();
                         match self.send_with_failover(owner, attempt + 1, |id, _| {
                             encode_request(&Request::Lookup { id, keys: group.clone() }, wb)
                         })? {
                             Some((j, id)) => {
                                 self.transport.flush()?;
-                                pending.insert(id, (owner, j));
+                                pending.insert(id, (owner, start, j));
                                 last_progress = Instant::now();
                             }
                             None => {
-                                for &i in &positions[owner] {
+                                for &i in chunk(owner, start) {
                                     results[i as usize] =
                                         LookupResult::Unavailable { rank: owner };
                                 }

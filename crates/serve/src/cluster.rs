@@ -103,9 +103,8 @@ impl<W: KmerWord + Send + 'static> ServeCluster<W> {
 /// loopback mesh and connects a [`QueryClient`] to them. Shard `r` must
 /// be the `owner_pe` partition for rank `r` (as [`build_shards`]
 /// produces). With `chaos`, the named server's transport is wrapped in
-/// a [`ChaosTransport`] so its mid-serve death can be rehearsed; a
-/// loopback mesh has no disconnect signal, so the client detects the
-/// dead rank by the collective deadline — keep `tuning` short in tests.
+/// a [`ChaosTransport`] so its mid-serve death can be rehearsed: its
+/// dropped endpoint reports it gone, and the client stops waiting on it.
 pub fn start_cluster<W>(
     shards: Vec<Shard<W>>,
     tuning: NetTuning,

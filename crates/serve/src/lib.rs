@@ -20,9 +20,10 @@
 //!   session down. Heartbeats keep flowing ([`Phase::Serve`]), so the
 //!   supervisor doubles as the health check.
 //! - [`client`] — the batching frontend: keys grouped by owner rank,
-//!   one frame per owner, per-query latency through the standard
-//!   `flow.*` histograms, and typed partial results
-//!   ([`LookupResult::Unavailable`]) when a server dies mid-session.
+//!   one frame per owner (more past the transport's frame bound),
+//!   per-query latency through the standard `flow.*` histograms, and
+//!   typed partial results ([`LookupResult::Unavailable`]) when a server
+//!   dies mid-session.
 //! - [`cluster`] — in-process loopback composition of all of the
 //!   above, for tests, benches, and `dakc serve --backend loopback`.
 //!

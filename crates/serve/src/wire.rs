@@ -256,6 +256,13 @@ pub fn decode_ready(from: usize, bytes: &[u8]) -> ServeResult<Option<Ready>> {
     Ok(Some(ready))
 }
 
+/// The most keys one LOOKUP request can carry at `word_bytes` per key
+/// without exceeding the transport's frame bound
+/// ([`dakc_net::MAX_PAYLOAD`]): the 13-byte header plus the keys.
+pub fn lookup_keys_per_frame(word_bytes: usize) -> usize {
+    (dakc_net::MAX_PAYLOAD - 13) / word_bytes
+}
+
 /// Encodes a request at the given word width.
 pub fn encode_request<W: KmerWord>(req: &Request<W>, word_bytes: usize) -> Vec<u8> {
     match req {

@@ -1,5 +1,5 @@
-//! Integration tests for the extension features: phase overlap, Bloom
-//! filtering, the hash-table baseline, and spectrum analytics — all
+//! Integration tests for the extension features: phase overlap, the
+//! hash-table baseline, and spectrum analytics — all
 //! cross-checked against the primary engines.
 
 use dakc::{count_kmers_sim, count_kmers_sim_overlap, count_kmers_threaded, DakcConfig};
@@ -42,26 +42,6 @@ fn hash_baseline_agrees_with_sorting_engines() {
     let dakc_run =
         count_kmers_sim::<u64>(&reads, &DakcConfig::scaled_defaults(31), &machine).unwrap();
     assert_eq!(hash.counts, dakc_run.counts);
-}
-
-#[test]
-fn filtered_counting_preserves_all_repeats_of_a_real_workload() {
-    let reads = synthetic(22).scaled(12).generate(7);
-    let k = 31;
-    let exact = count_kmers_serial::<u64>(&reads, k, CanonicalMode::Forward, false).counts;
-    let filtered = dakc::count_kmers_filtered::<u64>(
-        &reads,
-        k,
-        CanonicalMode::Forward,
-        4,
-        exact.len(),
-        0.01,
-    );
-    let got: std::collections::HashMap<u64, u32> =
-        filtered.counts.iter().map(|c| (c.kmer, c.count)).collect();
-    for c in exact.iter().filter(|c| c.count >= 2) {
-        assert_eq!(got.get(&c.kmer), Some(&c.count), "lost repeat k-mer");
-    }
 }
 
 #[test]

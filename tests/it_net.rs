@@ -425,28 +425,30 @@ fn chaos_drop_stalls_termination_with_typed_timeout() {
     assert!(stalled, "no rank diagnosed the termination stall: {errs:?}");
 }
 
-// A rank dying mid-cascade over real sockets: the dead rank surfaces its
-// own injected error, and surviving ranks fast-fail with the dead rank's
-// number well before the collective deadline.
+// A rank dying mid-cascade, over real sockets and over loopback: the dead
+// rank surfaces its own injected error, and surviving ranks fast-fail
+// with the dead rank's number well before the collective deadline.
 #[test]
 fn chaos_die_fast_fails_peers_naming_the_dead_rank() {
     let reads = workload(24);
     let cfg = DakcConfig::scaled_defaults(15);
-    let tuning = NetTuning::default().with_timeout(Duration::from_secs(30));
-    let started = std::time::Instant::now();
-    let results =
-        run_ranks_chaos::<u64>(&reads, &cfg, 3, "die", Some("die:1@40"), 0, tuning, true);
-    let elapsed = started.elapsed();
-    assert!(elapsed < Duration::from_secs(25), "fast-fail took {elapsed:?}");
-    assert!(
-        matches!(results[1], Err(NetError::Injected { rank: 1, .. })),
-        "rank 1 should die of its injected fault"
-    );
-    let blamed = results
-        .iter()
-        .enumerate()
-        .any(|(i, r)| i != 1 && matches!(r, Err(e) if e.rank() == Some(1)));
-    assert!(blamed, "no surviving rank attributed the failure to rank 1");
+    for tcp in [true, false] {
+        let tuning = NetTuning::default().with_timeout(Duration::from_secs(30));
+        let tag = if tcp { "die-tcp" } else { "die-loop" };
+        let started = std::time::Instant::now();
+        let results =
+            run_ranks_chaos::<u64>(&reads, &cfg, 3, tag, Some("die:1@40"), 0, tuning, tcp);
+        let elapsed = started.elapsed();
+        assert!(elapsed < Duration::from_secs(25), "tcp={tcp}: fast-fail took {elapsed:?}");
+        assert!(
+            matches!(results[1], Err(NetError::Injected { rank: 1, .. })),
+            "tcp={tcp}: rank 1 should die of its injected fault"
+        );
+        let blamed = results.iter().enumerate().any(|(i, r)| {
+            i != 1 && matches!(r, Err(NetError::PeerDisconnected { rank: 1, .. }))
+        });
+        assert!(blamed, "tcp={tcp}: no surviving rank attributed the failure to rank 1");
+    }
 }
 
 // ---------------------------------------------------------------------

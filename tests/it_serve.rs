@@ -11,10 +11,10 @@ use dakc::DakcConfig;
 use dakc_baselines::count_kmers_serial;
 use dakc_io::{generate_genome, simulate_reads, GenomeSpec, ReadSet, ReadSimConfig, RepeatProfile};
 use dakc_kmer::{owner_pe, CanonicalMode, KmerCount, KmerWord};
-use dakc_net::{NetError, NetTuning};
+use dakc_net::{NetError, NetTuning, TcpTransport, MAX_PAYLOAD};
 use dakc_serve::{
-    build_shards, start_cluster, start_cluster_replicated, shard_path, write_shard,
-    ClusterChaos, LookupResult, ServeError, Shard,
+    build_shards, serve_shard, start_cluster, start_cluster_replicated, shard_path, write_shard,
+    ClusterChaos, LookupResult, QueryClient, ServeError, ServeOpts, Shard,
 };
 use dakc_sort::RadixKey;
 
@@ -289,4 +289,58 @@ fn replicated_cluster_fails_over_a_killed_server_with_complete_results() {
             assert!(o.is_ok(), "live server {rank} must exit cleanly: {o:?}");
         }
     }
+}
+
+/// Over TCP, a batch in which each owner's key group is larger than one
+/// frame may carry is split into several LOOKUP frames and answered
+/// completely — the receive bound must not take a server down.
+#[test]
+fn tcp_serve_answers_owner_groups_above_the_frame_bound() {
+    const SERVERS: usize = 2;
+    let reads = workload(0xB16);
+    let cfg = DakcConfig::paper_defaults(21);
+    let truth = reference::<u64>(&reads, 21, CanonicalMode::Forward);
+    let shards = build_shards::<u64>(&reads, &cfg, SERVERS).expect("build");
+    // The table's keys plus enough 42-bit (k = 21) others that every
+    // owner's group outgrows one 8-byte-per-key frame.
+    let mut keys: Vec<u64> = truth.iter().map(|c| c.kmer).collect();
+    let extra = SERVERS * (MAX_PAYLOAD / 8) + 10_000;
+    keys.extend((1..=extra as u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 22));
+    for owner in 0..SERVERS {
+        let group = keys.iter().filter(|&&k| owner_pe(k, SERVERS) == owner).count();
+        assert!(group * 8 > MAX_PAYLOAD, "owner {owner}'s group of {group} keys fits one frame");
+    }
+    let dir = std::env::temp_dir().join(format!("dakc-it-serve-tcp-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let tuning = NetTuning::default().with_timeout(Duration::from_secs(30));
+    std::thread::scope(|s| {
+        let servers: Vec<_> = shards
+            .iter()
+            .enumerate()
+            .map(|(rank, shard)| {
+                let (dir, tuning) = (&dir, tuning.clone());
+                s.spawn(move || {
+                    let t = TcpTransport::rendezvous_tuned(rank, SERVERS + 1, dir, 1 << 12, tuning)?;
+                    serve_shard(shard, t, &ServeOpts::default())
+                })
+            })
+            .collect();
+        let t = TcpTransport::rendezvous_tuned(SERVERS, SERVERS + 1, &dir, 1 << 12, tuning.clone())
+            .expect("client rendezvous");
+        let mut client = QueryClient::<u64, _>::connect(t, tuning).expect("connect");
+        let out = client.lookup_batch(&keys).expect("lookup");
+        assert!(out.complete(), "unavailable: {:?}", out.unavailable);
+        let table: std::collections::HashMap<u64, u32> =
+            truth.iter().map(|c| (c.kmer, c.count)).collect();
+        for (key, res) in keys.iter().zip(&out.results) {
+            let want = table.get(key).copied().unwrap_or(0);
+            assert_eq!(*res, LookupResult::Count(want), "count mismatch for {key:#x}");
+        }
+        client.shutdown().expect("shutdown");
+        for h in servers {
+            let stats = h.join().unwrap().expect("server must exit cleanly");
+            assert!(stats.requests >= 2, "each owner's group takes several frames");
+        }
+    });
+    std::fs::remove_dir_all(&dir).ok();
 }
