@@ -128,37 +128,44 @@ fn launch_recover_survives_scripted_death_matching_serial() {
         "count", fq.to_str().unwrap(), "-k", "21", "--threads", "2", "-o",
         serial.to_str().unwrap(),
     ]);
-    let dist = tmp("recover.tsv");
-    let metrics = tmp("recover_metrics.json");
-    // Same scripted death as launch_chaos_die_fails_fast_naming_dead_rank,
-    // but with --recover: the launcher must respawn rank 2 as incarnation
-    // 1, the survivors must replay its owned k-mers, and the job must
-    // exit 0 with output byte-identical to the serial count.
-    let (status, stderr, pid) = run_to_exit(
-        &[
+    // Words and spans: the replay re-extracts through the same producer as
+    // the parse, owner-filtered by k-mer or by minimizer.
+    for mode in [None, Some("--superkmer")] {
+        let name = mode.unwrap_or("words").trim_start_matches('-');
+        let dist = tmp(&format!("recover_{name}.tsv"));
+        let metrics = tmp(&format!("recover_{name}_metrics.json"));
+        // Same scripted death as launch_chaos_die_fails_fast_naming_dead_rank,
+        // but with --recover: the launcher must respawn rank 2 as incarnation
+        // 1, the survivors must replay its owned k-mers, and the job must
+        // exit 0 with output byte-identical to the serial count.
+        let mut args = vec![
             "launch", fq.to_str().unwrap(), "-k", "21", "--ranks", "4", "--backend", "tcp",
             "--chaos-profile", "die:2@10", "--chaos-seed", "1",
             "--recover", "--max-respawns", "3",
             "-o", dist.to_str().unwrap(), "--metrics", metrics.to_str().unwrap(),
-        ],
-        Duration::from_secs(120),
-    );
-    assert!(status.success(), "--recover launch must survive a scripted death:\n{stderr}");
-    assert!(
-        stderr.contains("recover: rank 2"),
-        "launcher must narrate the respawn of rank 2:\n{stderr}"
-    );
-    let want = std::fs::read(&serial).unwrap();
-    let got = std::fs::read(&dist).unwrap();
-    assert!(!want.is_empty());
-    assert_eq!(got, want, "recovered TCP output differs from serial");
-    // The recovery left its fingerprints in the merged metrics: the
-    // survivors reconnected to the replacement and replayed its keys.
-    let m = std::fs::read_to_string(&metrics).unwrap();
-    assert!(m.contains("net.recoveries"), "{m}");
-    assert!(m.contains("net.replayed_kmers"), "{m}");
-    let dir = std::env::temp_dir().join(format!("dakc-rendezvous-{pid}"));
-    assert!(!dir.exists(), "stale rendezvous dir left behind: {}", dir.display());
+        ];
+        args.extend(mode);
+        let (status, stderr, pid) = run_to_exit(&args, Duration::from_secs(120));
+        assert!(status.success(), "{name}: --recover launch must survive a scripted death:\n{stderr}");
+        assert!(
+            stderr.contains("recover: rank 2"),
+            "{name}: launcher must narrate the respawn of rank 2:\n{stderr}"
+        );
+        let want = std::fs::read(&serial).unwrap();
+        let got = std::fs::read(&dist).unwrap();
+        assert!(!want.is_empty());
+        assert_eq!(got, want, "{name}: recovered TCP output differs from serial");
+        // The recovery left its fingerprints in the merged metrics: the
+        // survivors reconnected to the replacement and replayed its keys.
+        let m = std::fs::read_to_string(&metrics).unwrap();
+        assert!(m.contains("net.recoveries"), "{name}: {m}");
+        assert!(m.contains("net.replayed_kmers"), "{name}: {m}");
+        if mode.is_some() {
+            assert!(m.contains("net.superkmer.spans"), "{name}: spans must carry the data: {m}");
+        }
+        let dir = std::env::temp_dir().join(format!("dakc-rendezvous-{pid}"));
+        assert!(!dir.exists(), "stale rendezvous dir left behind: {}", dir.display());
+    }
 }
 
 #[test]

@@ -28,6 +28,7 @@ use dakc_sort::{
 
 use crate::config::DakcConfig;
 use crate::costs;
+use crate::overlap::Compaction;
 
 /// Channel id for packed plain k-mers.
 pub const CH_NORMAL: u8 = 0;
@@ -54,6 +55,8 @@ pub const CH_SUPER: u8 = 3;
 /// list (one entry per contiguous same-source delivery run), not a
 /// per-record tag, so the tracking overhead is proportional to packets,
 /// not k-mers; an absorbed run remembers the one source it came from.
+/// [`ReceiveStore::compacting`] is the only way to turn compaction on
+/// ([`crate::overlap`]).
 #[derive(Debug, Clone)]
 pub struct ReceiveStore<W> {
     /// Individual k-mer occurrences (count 1 each) not yet absorbed.
@@ -66,6 +69,8 @@ pub struct ReceiveStore<W> {
     /// recorded only while tracking.
     segs: Vec<(PeId, usize, usize)>,
     track: bool,
+    /// Compaction on arrival (the phase-overlapped engine only).
+    compact: Option<Compaction<W>>,
 }
 
 impl<W: RadixKey> Default for ReceiveStore<W> {
@@ -84,7 +89,20 @@ impl<W: RadixKey> ReceiveStore<W> {
     }
 
     fn with_runs(runs: BucketRuns<W>) -> Self {
-        Self { plain: Vec::new(), pairs: Vec::new(), runs, segs: Vec::new(), track: false }
+        Self {
+            plain: Vec::new(),
+            pairs: Vec::new(),
+            runs,
+            segs: Vec::new(),
+            track: false,
+            compact: None,
+        }
+    }
+
+    /// Records received so far: plain occurrences plus heavy pairs.
+    pub(crate) fn records(&self) -> u64 {
+        let closed = self.compact.as_ref().map_or(0, |c| c.records);
+        (self.plain_len() + self.pairs.len()) as u64 + closed
     }
 
     /// Plain k-mer occurrences received, absorbed or still staged.
@@ -94,7 +112,8 @@ impl<W: RadixKey> ReceiveStore<W> {
 
     /// Total occurrences represented.
     pub fn total_occurrences(&self) -> u64 {
-        self.plain_len() as u64 + self.pairs.iter().map(|&(_, c)| c as u64).sum::<u64>()
+        let closed = self.compact.as_ref().map_or(0, |c| c.occurrences);
+        self.plain_len() as u64 + self.pairs.iter().map(|&(_, c)| c as u64).sum::<u64>() + closed
     }
 
     /// Turns on source tracking (call before any records arrive).
@@ -209,6 +228,21 @@ impl<W: RadixKey> ReceiveStore<W> {
 }
 
 impl<W: KmerWord + RadixKey> ReceiveStore<W> {
+    /// A store that compacts its arrivals into sorted, accumulated runs of
+    /// `threshold` records as they land, for the phase-overlapped engine.
+    pub(crate) fn compacting(k: usize, threshold: usize) -> Self {
+        Self { compact: Some(Compaction::new(threshold)), ..Self::for_k(k) }
+    }
+
+    /// What the rank program calls after every `progress`: absorbs a
+    /// staged batch, or closes the runs the arrivals filled.
+    pub(crate) fn settle<F: Fabric>(&mut self, fab: &mut F) {
+        match &mut self.compact {
+            None => self.absorb_batch(),
+            Some(c) => c.settle(fab, &mut self.plain, &mut self.pairs),
+        }
+    }
+
     /// Phase 2 on the quiescent store: the sorted `{k-mer, count}` table of
     /// everything received — each bucket of the plain runs through
     /// [`dakc_sort::sort_count`], the heavy pairs sorted and summed, the
@@ -223,6 +257,25 @@ impl<W: KmerWord + RadixKey> ReceiveStore<W> {
             .map(|(w, c)| KmerCount::new(w, c))
             .collect();
         merge_sorted_counts_owned(plain, heavy)
+    }
+
+    /// Phase 2, charged to `fab`. The stock charges depend only on how
+    /// many records arrived, not on how the store holds them.
+    pub(crate) fn count<F: Fabric>(mut self, fab: &mut F) -> Vec<KmerCount<W>> {
+        if let Some(c) = self.compact.take() {
+            return c.finish(fab, &mut self.plain, &mut self.pairs);
+        }
+        let word_bytes = (W::BITS / 8) as u64;
+        let (plain, pairs) = (self.plain_len() as u64, self.pairs.len() as u64);
+        // Held, not freed: all PEs sort concurrently on a real node, so the
+        // OOM accounting must see the summed peak (see the same note in the
+        // BSP baseline).
+        fab.mem_alloc(plain * word_bytes);
+        costs::charge_hybrid_sort(fab, plain, word_bytes);
+        costs::charge_accumulate(fab, plain, word_bytes);
+        costs::charge_hybrid_sort(fab, pairs, word_bytes + 4);
+        costs::charge_accumulate(fab, pairs, word_bytes + 4);
+        self.into_counts()
     }
 }
 
@@ -407,7 +460,9 @@ impl<W: KmerWord + RadixKey> Aggregator<W> {
     }
 
     /// Algorithm 3's `AsyncAdd`: route one parsed k-mer toward its owner.
-    #[inline]
+    /// Always inlined, like [`Aggregator::add_to_l2`]: the per-k-mer path
+    /// must not depend on how the compiler sizes up its caller.
+    #[inline(always)]
     pub fn async_add<F: Fabric>(&mut self, ctx: &mut F, kmer: W) {
         self.stats.kmers_added += 1;
         if self.cfg.enable_l3 {
@@ -510,8 +565,9 @@ impl<W: KmerWord + RadixKey> Aggregator<W> {
     }
 
     /// `AddToL2Buffer`: pack toward the owner, splitting heavy hitters
-    /// onto the HEAVY channel.
-    #[inline]
+    /// onto the HEAVY channel. Always inlined: a call per k-mer cost the
+    /// words path 5–10 % whenever the inliner declined.
+    #[inline(always)]
     fn add_to_l2<F: Fabric>(&mut self, ctx: &mut F, kmer: W, count: u32) {
         let dst = owner_pe(kmer, self.num_pes);
         if !self.cfg.enable_l2 {

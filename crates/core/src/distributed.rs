@@ -1,28 +1,19 @@
 //! The distributed engine: DAKC over a real [`Transport`].
 //!
 //! Each rank (an OS process under `dakc launch`, or a thread over the
-//! loopback backend) runs the same phases as the simulator's
-//! [`crate::program::DakcPeProgram`], driving the identical L0–L3 cascade
-//! through a [`NetFabric`]:
+//! loopback backend) steps the same rank program as the simulator
+//! (`crate::rank`: Parse → Drain → Count), driving the identical L0–L3
+//! cascade through a [`NetFabric`], whose termination rounds answer the
+//! drain's "may I count now?". Around the steps this driver adds what only
+//! a real runtime needs, then gathers:
 //!
 //! ```text
-//! Parse  — roll k-mers out of this rank's read slice, AsyncAdd each,
-//!          servicing the transport between batches.
-//! Drain  — flush every layer, then alternate progress with collective
-//!          four-counter termination rounds until the job is quiescent.
-//! Count  — phase 2: sort + accumulate + merge this rank's partition, one
-//!          bucket of the runs absorbed during Parse and Drain at a time.
-//! Gather — every rank streams its `{kmer, count}` pairs (HEAVY wire
-//!          format) and its metrics JSON to rank 0, which merges them.
+//! Recover — with --recover, purge and replay toward a respawned peer.
+//! Stall   — fail a drain whose global totals stop moving.
+//! Monitor — publish phases and traffic for the launch supervisor.
+//! Gather  — every rank streams its `{kmer, count}` pairs (HEAVY wire
+//!           format) and its metrics JSON to rank 0, which merges them.
 //! ```
-//!
-//! The quiescent-barrier fix the simulator relies on (`processed > 0 ||
-//! has_ready`) has no transport equivalent — there is no global scheduler
-//! to ask — which is exactly what the termination rounds replace: a rank
-//! with zero input flushes nothing, contributes `(0, 0)` and terminates
-//! after the two confirming rounds; a single-rank job self-delivers and
-//! terminates the same way. Both cases are regression-tested in
-//! `tests/it_net.rs`.
 //!
 //! Every phase is fallible: wire failures latched by the fabric surface at
 //! batch boundaries, a drain whose global totals stop moving without
@@ -37,19 +28,18 @@ use std::time::Instant;
 
 use dakc_conveyors::Fabric;
 use dakc_io::ReadSet;
-use dakc_kmer::{
-    counts::merge_disjoint_runs, extract_into, for_each_span, CanonicalMode, KmerCount, KmerWord,
-};
+use dakc_kmer::{counts::merge_disjoint_runs, KmerCount, KmerWord};
 use dakc_net::{
     HeartbeatState, Loopback, NetError, NetFabric, NetResult, NetTuning, Phase, Transport,
     DEFAULT_PINGS,
 };
 use dakc_sim::telemetry::{decode_events, encode_events, Event, MetricsRegistry};
-use dakc_sim::EventKind;
+use dakc_sim::{EventKind, Step};
 use dakc_sort::RadixKey;
 
-use crate::aggregate::{decode_packet, encode_heavy_packet, Aggregator, ReceiveStore, CH_HEAVY};
+use crate::aggregate::{decode_packet, encode_heavy_packet, ReceiveStore, CH_HEAVY};
 use crate::config::DakcConfig;
+use crate::rank::RankMachine;
 
 /// Gather chunk budget in bytes: small enough to interleave fairly on the
 /// launcher's inbox, large enough to amortize framing.
@@ -229,7 +219,10 @@ where
 /// [`count_partition`] over the read range `mine` (see [`run_rank_on`]).
 /// Recovery replays index into the same range, so a respawned rank must
 /// be handed the reads its predecessor had — a byte-range slice of a file
-/// is deterministic, which is all `--recover` needs.
+/// is deterministic, which is all `--recover` needs. A range past the end
+/// of `reads`, or recovery and tracing asked for together in a job of
+/// more than one rank, is a typed [`NetError::Protocol`] before any frame
+/// is sent.
 pub fn count_partition_on<W, T>(
     reads: &ReadSet,
     range: std::ops::Range<usize>,
@@ -241,10 +234,16 @@ where
     W: KmerWord + RadixKey,
     T: Transport,
 {
-    assert!(range.end <= reads.len(), "read range {range:?} out of {}", reads.len());
+    if range.end > reads.len() {
+        let detail = format!("read range {range:?} runs past the {} reads given", reads.len());
+        return Err(NetError::Protocol { detail });
+    }
+    let mut armed = opts.recover && transport.num_ranks() > 1;
+    if armed && opts.trace {
+        let detail = "recovery and tracing are mutually exclusive".to_string();
+        return Err(NetError::Protocol { detail });
+    }
     cfg.validate::<W>();
-    let rank = transport.rank();
-    let n = transport.num_ranks();
     let mut fab = NetFabric::new(transport);
     if opts.trace {
         // Order matters: the wire format switches with tracing, and the
@@ -254,253 +253,90 @@ where
         fab.enable_tracing();
         fab.align_clock(DEFAULT_PINGS, opts.tuning.collective_timeout)?;
     }
-    let mut agg = Aggregator::<W>::new(cfg.clone(), &mut fab);
     let mut store = ReceiveStore::<W>::for_k(cfg.k);
-    let recover = opts.recover && n > 1;
-    if recover {
-        assert!(!opts.trace, "recovery and tracing are mutually exclusive");
+    if armed {
         store.track_sources();
         fab.transport_mut().arm_recovery(true);
     }
+    let mut rank = RankMachine::new(cfg.clone(), reads, range, store);
 
-    // Parse: AsyncAdd every k-mer of this rank's slice, servicing arrivals
-    // between batches so receive-side work overlaps parsing. Wire failures
-    // latched by the fabric surface at the batch boundary.
-    opts.set_phase(Phase::Parse);
-    fab.trace(|| EventKind::Phase { phase: Phase::Parse as u32 });
-    let mut cursor = range.start;
-    let canonical = cfg.canonical == CanonicalMode::Canonical;
-    // One read's k-mers at a time, so the words stay cache-resident
-    // between extraction and the cascade.
-    let mut words: Vec<W> = Vec::new();
-    while cursor < range.end {
-        let end = (cursor + cfg.batch_reads).min(range.end);
-        if cfg.superkmer {
-            // L2.5: route whole minimizer spans; the owner expands them.
-            for i in cursor..end {
-                for_each_span(reads.get(i), cfg.k, cfg.minimizer_len, canonical, |mz, span| {
-                    agg.async_add_span(&mut fab, mz, span);
-                });
-            }
-        } else {
-            for i in cursor..end {
-                words.clear();
-                extract_into::<W>(reads.get(i), cfg.k, cfg.canonical, |w| words.push(w));
-                agg.async_add_batch(&mut fab, &words);
-            }
-        }
-        cursor = end;
-        agg.progress(&mut fab, &mut store);
-        store.absorb_batch();
-        surface_decode_error(&mut agg, rank)?;
-        fab.check()?;
-        if recover {
-            service_recovery(&mut fab, &mut agg, &mut store, reads, cfg, range.start..cursor)?;
-        }
-        {
-            let s = fab.transport_mut().stats();
-            opts.record_traffic(s.frames_sent(), s.frames_recv(), s.retries);
-        }
-    }
-
-    // Drain: flush L3→L2→L1→L0, then alternate progress with termination
-    // rounds. A round only runs when this rank has nothing left to
-    // process; it flushes relayed traffic first (via `Transport::flush`)
-    // so counted sends are on the wire before totals are compared.
-    //
     // A job whose frames were lost or duplicated on the wire never reaches
     // quiescence, yet every round completes promptly (all peers are
     // alive) — the transport's own collective deadline never fires. The
-    // driver watches the *global totals* instead: unchanged totals without
-    // quiescence for a full collective deadline means the counters are
+    // driver watches the *global totals* instead: unchanged totals after
+    // idle rounds for a full collective deadline means the counters are
     // wedged, and the run fails with the four-counter dump.
-    opts.set_phase(Phase::Drain);
-    fab.trace(|| EventKind::Phase { phase: Phase::Drain as u32 });
-    agg.flush(&mut fab);
+    let mut phase = Phase::Setup;
     let mut last_totals: Option<(u64, u64)> = None;
     let mut last_movement = Instant::now();
     loop {
-        let processed = agg.progress(&mut fab, &mut store);
-        store.absorb_batch();
-        surface_decode_error(&mut agg, rank)?;
-        fab.check()?;
-        if recover {
-            if service_recovery(&mut fab, &mut agg, &mut store, reads, cfg, range.clone())? {
-                // The replay re-enqueued content while the cascade was
-                // already draining: flush the partial buffers it left and
-                // restart the stall clock for the fresh epoch.
-                agg.flush(&mut fab);
+        if armed {
+            if let Some(rec) = fab.transport_mut().poll_recovery()? {
+                // A respawned peer reconnected: repair this rank, count the
+                // repair (recovery-only counters, absent from any run that
+                // never recovered) and restart the stall clock.
+                let [replayed, purged_recv, purged_sent] = rank.replay(&mut fab, rec.rank);
+                let m = fab.metrics();
+                m.inc("net.replayed_kmers", replayed);
+                m.inc("net.purged_recv_occurrences", purged_recv);
+                m.inc("net.purged_sent_occurrences", purged_sent);
                 last_movement = Instant::now();
-                continue;
-            }
-            if fab.transport_mut().recovery_pending() {
+            } else if phase == Phase::Drain && fab.transport_mut().recovery_pending() {
                 // A peer is dead awaiting respawn: rounds cannot complete
                 // and totals legitimately freeze. Hold the stall detector
                 // (the transport's own recovery deadline is the backstop)
                 // and don't spin hot.
                 last_movement = Instant::now();
                 std::thread::sleep(std::time::Duration::from_millis(1));
-                continue;
             }
         }
-        if processed > 0 {
-            continue;
-        }
-        if fab.transport_mut().termination_round()? {
+        if rank.step(&mut fab)? == Step::Done {
             break;
         }
-        let totals = fab.transport_mut().last_global_totals();
-        if let Some((s, r)) = totals {
-            let retries = fab.transport_mut().stats().retries;
-            opts.record_traffic(s, r, retries);
-        }
-        if totals != last_totals {
-            last_totals = totals;
+        if rank.phase != phase {
+            phase = rank.phase;
+            opts.set_phase(phase);
             last_movement = Instant::now();
-        } else if last_movement.elapsed() >= opts.tuning.collective_timeout {
-            let waited = last_movement.elapsed();
-            let diag = fab.transport_mut().diagnostics();
-            return Err(NetError::timeout(
-                "termination",
-                waited,
-                format!("quiescence stalled, global totals frozen at {last_totals:?}; {diag}"),
-            ));
+            if phase == Phase::Count && armed {
+                // Quiescence reached: the recovery window closes here. A
+                // rank death from now on (Count/Gather) is fatal — there
+                // is no replay story for a partially gathered result.
+                assert!(!fab.transport_mut().recovery_pending(), "quiescent with a recovery pending");
+                fab.transport_mut().arm_recovery(false);
+                armed = false;
+            }
+        } else if phase == Phase::Parse {
+            let s = fab.transport_mut().stats();
+            opts.record_traffic(s.frames_sent(), s.frames_recv(), s.retries);
+        } else if phase == Phase::Drain && rank.processed == 0 {
+            // The step ran a termination round that did not decide.
+            let totals = fab.transport_mut().last_global_totals();
+            if let Some((s, r)) = totals {
+                let retries = fab.transport_mut().stats().retries;
+                opts.record_traffic(s, r, retries);
+            }
+            if totals != last_totals {
+                last_totals = totals;
+                last_movement = Instant::now();
+            } else if last_movement.elapsed() >= opts.tuning.collective_timeout {
+                let waited = last_movement.elapsed();
+                let diag = fab.transport_mut().diagnostics();
+                return Err(NetError::timeout(
+                    "termination",
+                    waited,
+                    format!("quiescence stalled, global totals frozen at {last_totals:?}; {diag}"),
+                ));
+            }
         }
     }
-
-    // Quiescence reached: the recovery window closes here. A rank death
-    // from now on (Count/Gather) is fatal as before — there is no replay
-    // story for a partially gathered result.
-    if recover {
-        assert!(
-            !fab.transport_mut().recovery_pending(),
-            "quiescent with a recovery pending"
-        );
-        fab.transport_mut().arm_recovery(false);
+    let counts = rank.output.take().expect("a counted rank has output").counts;
+    if let Some(mon) = &opts.monitor {
+        fab.metrics().inc("net.heartbeats_sent", mon.beats());
     }
-
-    // Phase 2 on the quiescent store: identical sorts and merge to the
-    // simulator engine's count phase.
-    opts.set_phase(Phase::Count);
-    fab.trace(|| EventKind::Phase { phase: Phase::Count as u32 });
-    let counts = store.into_counts();
-
-    // Fold this rank's cascade counters next to the transport telemetry.
-    let agg_stats = agg.stats();
-    let conv = agg.conveyor_stats();
-    {
-        let m = fab.metrics();
-        m.inc("agg.kmers_added", agg_stats.kmers_added);
-        m.inc("agg.l3_flushes", agg_stats.l3_flushes);
-        m.inc("agg.heavy_pairs", agg_stats.heavy_pairs);
-        if cfg.superkmer {
-            // Only in span mode, so the default mode's metrics JSON (and
-            // therefore its gather frames) is byte-for-byte unchanged.
-            m.inc("agg.super_packets", agg_stats.super_packets);
-            m.inc("agg.spans_shipped", agg_stats.spans_shipped);
-            m.inc("agg.span_wire_bytes", agg_stats.span_wire_bytes);
-            m.inc("agg.span_bases_saved", agg_stats.span_bases_saved);
-        }
-        m.inc("conv.items_pushed", conv.items_pushed);
-        m.inc("conv.items_delivered", conv.items_delivered);
-        m.inc("conv.items_forwarded", conv.items_forwarded);
-        m.inc("conv.puts", conv.puts);
-        if let Some(mon) = &opts.monitor {
-            m.inc("net.heartbeats_sent", mon.beats());
-        }
-    }
-    agg.release(&mut fab);
     fab.check()?;
     fab.trace(|| EventKind::Phase { phase: Phase::Gather as u32 });
     let (transport, metrics, trace) = fab.finish();
     Ok(Partition { transport, counts, metrics, trace })
-}
-
-/// Drives the transport's rank-recovery machinery for one step and, when
-/// a respawned peer has fully reconnected, repairs this rank's state:
-///
-/// 1. Every record the dead incarnation delivered is purged from the
-///    receive store (the replacement re-runs its whole phase 1, so they
-///    will all be re-received).
-/// 2. Every not-yet-shipped record destined for the dead rank is purged
-///    from the cascade buffers (the replay below regenerates them;
-///    shipping both copies would double-count).
-/// 3. This rank's parsed input prefix is deterministically re-extracted,
-///    routing *only* k-mers (or spans) owned by the recovered rank back
-///    through the ordinary cascade — CH_SUPER included.
-///
-/// Determinism argument: the replayed multiset is a pure function of the
-/// input partition and the owner hash, and steps 1–2 remove exactly the
-/// two places a stale copy could hide (received-from-dead, buffered-for-
-/// dead), so after replay every k-mer owned by the recovered rank from
-/// this rank's prefix is in flight exactly once. Returns whether a
-/// recovery completed.
-fn service_recovery<W, T>(
-    fab: &mut NetFabric<T>,
-    agg: &mut Aggregator<W>,
-    store: &mut ReceiveStore<W>,
-    reads: &ReadSet,
-    cfg: &DakcConfig,
-    parsed: std::ops::Range<usize>,
-) -> NetResult<bool>
-where
-    W: KmerWord + RadixKey,
-    T: Transport,
-{
-    let Some(rec) = fab.transport_mut().poll_recovery()? else {
-        return Ok(false);
-    };
-    let dead = rec.rank;
-    let n = fab.transport_mut().num_ranks();
-    let purged_recv = store.purge_source(dead);
-    let purged_sent = agg.purge_dest(fab, dead);
-    let canonical = cfg.canonical == CanonicalMode::Canonical;
-    let mut replayed = 0u64;
-    let mut words: Vec<W> = Vec::new();
-    for i in parsed {
-        if cfg.superkmer {
-            for_each_span(reads.get(i), cfg.k, cfg.minimizer_len, canonical, |mz, span| {
-                if dakc_kmer::owner_pe(mz, n) == dead {
-                    replayed += (span.len() + 1 - cfg.k) as u64;
-                    agg.async_add_span(fab, mz, span);
-                }
-            });
-        } else {
-            words.clear();
-            extract_into::<W>(reads.get(i), cfg.k, cfg.canonical, |w| {
-                if dakc_kmer::owner_pe(w, n) == dead {
-                    words.push(w);
-                }
-            });
-            replayed += words.len() as u64;
-            agg.async_add_batch(fab, &words);
-        }
-    }
-    // Recovery-only counters: absent from any run that never recovered,
-    // keeping the default metrics export byte-stable.
-    let m = fab.metrics();
-    m.inc("net.replayed_kmers", replayed);
-    m.inc("net.purged_recv_occurrences", purged_recv);
-    m.inc("net.purged_sent_occurrences", purged_sent);
-    Ok(true)
-}
-
-/// Surfaces a latched decode failure as a typed wire error: a packet or
-/// span record that fails to decode means some peer's stream corrupted in
-/// a way that framing alone could not catch. The source rank of the bad
-/// record is not recoverable post-hoc, so the error names the receiving
-/// rank and says so.
-fn surface_decode_error<W: KmerWord + RadixKey>(
-    agg: &mut Aggregator<W>,
-    rank: usize,
-) -> NetResult<()> {
-    match agg.take_decode_error() {
-        None => Ok(()),
-        Some(e) => Err(NetError::CorruptFrame {
-            rank,
-            detail: format!("a record received on this rank failed to decode: {e}"),
-        }),
-    }
 }
 
 /// Streams every rank's pairs, metrics, and (when tracing) trace buffer
@@ -759,6 +595,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aggregate::Aggregator;
+    use crate::rank::surface_decode_error;
     use dakc_baselines_shim::reference_counts;
 
     /// Tiny reference counter, independent of all engines.
@@ -864,6 +702,30 @@ mod tests {
                 assert!(detail.contains("ranks [1] still owe frames"), "{detail}");
             }
             other => panic!("expected a gather timeout, got {:?}", other.map(|_| ())),
+        }
+    }
+
+    // Caller input that the CLI rejects at parse time must not panic a
+    // library caller either: both are typed errors before any frame flies.
+    #[test]
+    fn recover_with_trace_is_a_typed_error_not_a_panic() {
+        let opts = RunOpts { recover: true, trace: true, ..RunOpts::default() };
+        let cfg = DakcConfig::scaled_defaults(5);
+        match count_kmers_loopback_opts::<u64>(&tiny_reads(), &cfg, 2, &opts) {
+            Err(NetError::Protocol { detail }) => assert!(detail.contains("mutually exclusive")),
+            other => panic!("expected a protocol error, got {:?}", other.map(|_| ())),
+        }
+    }
+
+    #[test]
+    fn read_range_past_the_input_is_a_typed_error_not_a_panic() {
+        let reads = tiny_reads();
+        let cfg = DakcConfig::scaled_defaults(5);
+        let t = Loopback::mesh(1).remove(0);
+        let got = count_partition_on::<u64, _>(&reads, 2..5, &cfg, t, &RunOpts::default());
+        match got {
+            Err(NetError::Protocol { detail }) => assert!(detail.contains("2..5"), "{detail}"),
+            other => panic!("expected a protocol error, got {:?}", other.map(|_| ())),
         }
     }
 

@@ -6,12 +6,12 @@ use std::sync::Arc;
 
 use dakc_io::ReadSet;
 use dakc_kmer::{counts::merge_disjoint_runs, KmerCount, KmerWord};
-use dakc_sim::{MachineConfig, Program, SimError, SimReport, Simulator, TraceSink};
+use dakc_sim::{Ctx, MachineConfig, Program, SimError, SimReport, Simulator, Step, TraceSink};
 use dakc_sort::RadixKey;
 
-use crate::aggregate::AggStats;
+use crate::aggregate::{AggStats, ReceiveStore};
 use crate::config::DakcConfig;
-use crate::program::{DakcPeProgram, OutputSink, PeOutput};
+use crate::rank::{PeOutput, RankMachine};
 
 /// The result of a simulated DAKC run.
 #[derive(Debug, Clone)]
@@ -59,6 +59,27 @@ impl<W: KmerWord> DakcRun<W> {
     }
 }
 
+/// Shared collection slot for PE outputs.
+type OutputSink<W> = Rc<RefCell<Vec<Option<PeOutput<W>>>>>;
+
+/// One PE's DAKC program on the simulator: the rank program, stepped by
+/// the scheduler, publishing its output into a shared sink.
+pub(crate) struct DakcPeProgram<W> {
+    rank: RankMachine<W, Arc<ReadSet>>,
+    sink: OutputSink<W>,
+}
+
+impl<W: KmerWord + RadixKey> Program for DakcPeProgram<W> {
+    fn step(&mut self, ctx: &mut Ctx<'_>) -> Step {
+        // The simulator's in-process wire cannot corrupt or fail.
+        let step = self.rank.step(ctx).unwrap_or_else(|e| panic!("simulated rank failed: {e}"));
+        if let Some(out) = self.rank.output.take() {
+            self.sink.borrow_mut()[ctx.pe()] = Some(out);
+        }
+        step
+    }
+}
+
 /// Runs DAKC on `machine` over `reads` and returns the merged histogram
 /// plus full accounting.
 ///
@@ -83,39 +104,42 @@ pub fn count_kmers_sim_traced<W: KmerWord + RadixKey>(
     machine: &MachineConfig,
     trace: &mut TraceSink,
 ) -> Result<DakcRun<W>, SimError> {
+    let store = || ReceiveStore::for_k(cfg.k);
+    let (report, per_pe) = run_programs(reads, cfg, machine, trace, store)?;
+    // Owner partitioning makes per-PE k-mer sets disjoint: merge the sorted
+    // runs (result assembly, not part of the algorithm's timed work).
+    let counts = merge_disjoint_runs(per_pe.iter().map(|o| o.counts.clone()).collect());
+    Ok(DakcRun { counts, report, per_pe })
+}
+
+/// Runs one [`DakcPeProgram`] per PE of `machine`, each receiving into a
+/// fresh `store()`, and collects what every PE published.
+pub(crate) fn run_programs<W: KmerWord + RadixKey>(
+    reads: &ReadSet,
+    cfg: &DakcConfig,
+    machine: &MachineConfig,
+    trace: &mut TraceSink,
+    store: impl Fn() -> ReceiveStore<W>,
+) -> Result<(SimReport, Vec<PeOutput<W>>), SimError> {
     cfg.validate::<W>();
     let p = machine.num_pes();
     let reads = Arc::new(reads.clone());
     let sink: OutputSink<W> = Rc::new(RefCell::new(vec![None; p]));
     let programs: Vec<Box<dyn Program>> = (0..p)
         .map(|pe| {
-            Box::new(DakcPeProgram::<W>::new(
-                cfg.clone(),
-                Arc::clone(&reads),
-                reads.pe_range(pe, p),
-                sink.clone(),
-            )) as Box<dyn Program>
+            let range = reads.pe_range(pe, p);
+            let rank = RankMachine::new(cfg.clone(), Arc::clone(&reads), range, store());
+            Box::new(DakcPeProgram { rank, sink: sink.clone() }) as Box<dyn Program>
         })
         .collect();
-
     let report = Simulator::new(machine.clone()).run_traced(programs, trace)?;
-
-    let per_pe: Vec<PeOutput<W>> = Rc::try_unwrap(sink)
+    let per_pe = Rc::try_unwrap(sink)
         .expect("simulation dropped all other references")
         .into_inner()
         .into_iter()
         .map(|o| o.expect("every PE published"))
         .collect();
-
-    // Owner partitioning makes per-PE k-mer sets disjoint: merge the sorted
-    // runs (result assembly, not part of the algorithm's timed work).
-    let counts = merge_disjoint_runs(per_pe.iter().map(|o| o.counts.clone()).collect());
-
-    Ok(DakcRun {
-        counts,
-        report,
-        per_pe,
-    })
+    Ok((report, per_pe))
 }
 
 #[cfg(test)]

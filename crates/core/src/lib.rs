@@ -5,15 +5,19 @@
 //! fine-grained one-sided messages behind a four-layer aggregation stack
 //! (Algorithm 3 + Algorithm 4).
 //!
-//! Two engines expose the same algorithm:
+//! Algorithm 3 is written once, as a resumable rank program that two
+//! runtimes step:
 //!
-//! * [`engine::count_kmers_sim`] — runs on the [`dakc_sim`] virtual-time
-//!   cluster (any node count, Table IV cost model); this is what every
+//! * [`engine::count_kmers_sim`] — the [`dakc_sim`] virtual-time cluster
+//!   (any node count, Table IV cost model); this is what every
 //!   distributed-memory experiment uses.
-//! * [`threaded::count_kmers_threaded`] — runs on real OS threads with
-//!   in-memory delivery, the configuration the paper benchmarks on single
-//!   shared-memory nodes (Fig 9), where the runtime turns remote messages
-//!   into `memcpy`.
+//! * [`distributed::run_rank`] — real ranks over a `dakc_net` transport
+//!   (threads over loopback, or OS processes over TCP).
+//!
+//! [`threaded::count_kmers_threaded`] runs on real OS threads with
+//! in-memory delivery, the configuration the paper benchmarks on single
+//! shared-memory nodes (Fig 9), where the runtime turns remote messages
+//! into `memcpy`.
 //!
 //! Layer map (paper §IV):
 //!
@@ -49,7 +53,7 @@ pub mod costs;
 pub mod distributed;
 pub mod engine;
 pub mod overlap;
-pub mod program;
+mod rank;
 pub mod threaded;
 
 pub use aggregate::{
@@ -62,8 +66,8 @@ pub use distributed::{
     run_rank, run_rank_on, run_rank_opts, NetRun, Partition, RunOpts,
 };
 pub use engine::{count_kmers_sim, count_kmers_sim_traced, DakcRun};
-pub use overlap::{count_kmers_sim_overlap, OverlapRun, SortedRunStore};
-pub use program::DakcPeProgram;
+pub use overlap::{count_kmers_sim_overlap, OverlapRun};
+pub use rank::PeOutput;
 pub use threaded::{
     count_kmers_threaded, count_kmers_threaded_opts, count_kmers_threaded_traced, ThreadedOpts,
     ThreadedRun, DEFAULT_ROUTE_BATCH,

@@ -1,258 +1,131 @@
 //! Phase-overlapped DAKC — the paper's first future-work item (§VII):
+//! "this synchronization could be eliminated, thereby allowing the phases
+//! to overlap, by using a distributed sorted-set data structure that
+//! supports asynchronous queries and updates."
 //!
-//! > "Our current sorting-based approach still involves an explicit
-//! > barrier between phases 1 and 2. This synchronization could be
-//! > eliminated, thereby allowing the phases to overlap, by using a
-//! > distributed sorted-set data structure that supports asynchronous
-//! > queries and updates."
-//!
-//! [`SortedRunStore`] is that structure's owner-side half: arriving k-mers
-//! are absorbed into small sorted-and-accumulated *runs* while phase 1 is
-//! still in flight, so the bulk of the sorting work happens during the
-//! communication it used to wait behind. After quiescence (the barrier now
-//! only detects termination — no sorting hides behind it) the runs are
-//! k-way merged in a single pass.
-//!
-//! [`count_kmers_sim_overlap`] is the resulting engine; the
-//! `ext_overlap_ablation` bench compares it against stock DAKC.
+//! [`Compaction`] is that structure's owner-side half: a compacting
+//! [`ReceiveStore`] sorts and accumulates arrivals into small runs while
+//! phase 1 is still in flight, so after quiescence only a merge of the runs
+//! is left. [`count_kmers_sim_overlap`] runs the stock rank program over
+//! such stores; the `ext_overlap_ablation` bench compares the two.
 
-use std::cell::RefCell;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-use std::rc::Rc;
-use std::sync::Arc;
-
+use dakc_conveyors::Fabric;
 use dakc_io::ReadSet;
-use dakc_kmer::{counts::merge_disjoint_runs, extract_into, KmerCount, KmerWord};
-use dakc_sim::{Ctx, MachineConfig, Program, SimError, SimReport, Simulator, Step};
+use dakc_kmer::counts::{merge_disjoint_runs, merge_sorted_counts_owned};
+use dakc_kmer::{KmerCount, KmerWord};
+use dakc_sim::{MachineConfig, SimError, SimReport, TraceSink};
 use dakc_sort::{accumulate_weighted, lsd_radix_sort_by, sort_count, RadixKey};
 
-use crate::aggregate::{Aggregator, ReceiveStore};
+use crate::aggregate::ReceiveStore;
 use crate::config::DakcConfig;
 use crate::costs;
 
-/// Owner-side incremental store: absorbs unordered deliveries into sorted,
-/// accumulated runs; one merge pass finalizes.
-#[derive(Debug)]
-pub struct SortedRunStore<W> {
-    pending: Vec<W>,
-    pending_pairs: Vec<(W, u32)>,
-    runs: Vec<Vec<KmerCount<W>>>,
-    /// Pending elements that trigger a run flush. Sized so a run sorts
+/// Compaction on arrival: a compacting [`ReceiveStore`]'s staged words
+/// and pairs are the pending run, closed — sorted, accumulated and set
+/// aside — the moment it holds `threshold` records.
+#[derive(Debug, Clone)]
+pub(crate) struct Compaction<W> {
+    /// Pending records that close a run. Sized so a run sorts
     /// cache-resident.
-    run_threshold: usize,
+    threshold: usize,
+    runs: Vec<Vec<KmerCount<W>>>,
+    /// Pairs already pending before the latest arrivals.
+    pending_pairs: usize,
+    /// Records in closed runs.
+    pub(crate) records: u64,
+    /// Occurrences in closed runs.
+    pub(crate) occurrences: u64,
 }
 
-impl<W: KmerWord + RadixKey> SortedRunStore<W> {
-    /// Creates a store; `run_threshold` is the run granularity.
-    pub fn new(run_threshold: usize) -> Self {
-        assert!(run_threshold >= 2);
-        Self {
-            pending: Vec::new(),
-            pending_pairs: Vec::new(),
-            runs: Vec::new(),
-            run_threshold,
+impl<W: KmerWord + RadixKey> Compaction<W> {
+    pub(crate) fn new(threshold: usize) -> Self {
+        assert!(threshold >= 2);
+        Self { threshold, runs: Vec::new(), pending_pairs: 0, records: 0, occurrences: 0 }
+    }
+
+    /// Closes every run the latest arrivals filled. The arrivals count one
+    /// record at a time, plain words before pairs, so runs close exactly
+    /// where pushing them one by one would close them.
+    pub(crate) fn settle<F: Fabric>(
+        &mut self,
+        fab: &mut F,
+        plain: &mut Vec<W>,
+        pairs: &mut Vec<(W, u32)>,
+    ) {
+        let arrived_pairs = pairs.split_off(self.pending_pairs);
+        let mut cut = 0;
+        while plain.len() - cut + pairs.len() >= self.threshold {
+            let end = cut + self.threshold - pairs.len();
+            self.close(fab, &mut plain[cut..end], pairs);
+            cut = end;
         }
-    }
-
-    /// Number of closed runs so far.
-    pub fn run_count(&self) -> usize {
-        self.runs.len()
-    }
-
-    /// Total records currently held (pending + in runs).
-    pub fn records(&self) -> usize {
-        self.pending.len()
-            + self.pending_pairs.len()
-            + self.runs.iter().map(|r| r.len()).sum::<usize>()
-    }
-
-    /// Absorbs one delivered plain k-mer.
-    pub fn push_plain(&mut self, ctx: &mut Ctx<'_>, w: W) {
-        self.pending.push(w);
-        if self.pending.len() + self.pending_pairs.len() >= self.run_threshold {
-            self.flush_run(ctx);
+        plain.drain(..cut);
+        for pair in arrived_pairs {
+            pairs.push(pair);
+            if plain.len() + pairs.len() >= self.threshold {
+                self.close(fab, plain, pairs);
+                plain.clear();
+            }
         }
+        self.pending_pairs = pairs.len();
     }
 
-    /// Absorbs one delivered pre-accumulated pair.
-    pub fn push_pair(&mut self, ctx: &mut Ctx<'_>, w: W, c: u32) {
-        self.pending_pairs.push((w, c));
-        if self.pending.len() + self.pending_pairs.len() >= self.run_threshold {
-            self.flush_run(ctx);
-        }
-    }
-
-    /// Sorts and accumulates the pending batch into a closed run. This is
-    /// the work that overlaps with communication.
-    pub fn flush_run(&mut self, ctx: &mut Ctx<'_>) {
-        if self.pending.is_empty() && self.pending_pairs.is_empty() {
+    /// Sorts and accumulates one run and empties `pairs`. This is the work
+    /// that overlaps with communication.
+    fn close<F: Fabric>(&mut self, fab: &mut F, plain: &mut [W], pairs: &mut Vec<(W, u32)>) {
+        if plain.is_empty() && pairs.is_empty() {
             return;
         }
         let wb = (W::BITS / 8) as u64;
-        let mut plain = std::mem::take(&mut self.pending);
-        costs::charge_hybrid_sort(ctx, plain.len() as u64, wb);
-        costs::charge_accumulate(ctx, plain.len() as u64, wb);
-        let mut plain_counts: Vec<KmerCount<W>> = Vec::new();
-        sort_count(&mut plain, |w, c| plain_counts.push(KmerCount::new(w, c)));
-
-        let mut pairs = std::mem::take(&mut self.pending_pairs);
-        costs::charge_hybrid_sort(ctx, pairs.len() as u64, wb + 4);
-        lsd_radix_sort_by(&mut pairs, |p| p.0);
-        let pair_counts: Vec<KmerCount<W>> = accumulate_weighted(&pairs)
-            .into_iter()
-            .map(|(w, c)| KmerCount::new(w, c))
-            .collect();
-
-        let run = dakc_kmer::counts::merge_sorted_counts(&plain_counts, &pair_counts);
+        costs::charge_hybrid_sort(fab, plain.len() as u64, wb);
+        costs::charge_accumulate(fab, plain.len() as u64, wb);
+        let mut words: Vec<KmerCount<W>> = Vec::new();
+        sort_count(plain, |w, c| words.push(KmerCount::new(w, c)));
+        costs::charge_hybrid_sort(fab, pairs.len() as u64, wb + 4);
+        lsd_radix_sort_by(pairs, |p| p.0);
+        let heavy = accumulate_weighted(pairs).into_iter().map(|(w, c)| KmerCount::new(w, c));
+        self.records += (plain.len() + pairs.len()) as u64;
+        self.occurrences += plain.len() as u64 + pairs.iter().map(|&(_, c)| c as u64).sum::<u64>();
+        let run = merge_sorted_counts_owned(words, heavy.collect());
+        pairs.clear();
         if !run.is_empty() {
             self.runs.push(run);
         }
     }
 
-    /// Final k-way merge of all runs: one streaming pass over the data
-    /// (the only work left after quiescence).
-    pub fn finalize(mut self, ctx: &mut Ctx<'_>) -> Vec<KmerCount<W>> {
-        self.flush_run(ctx);
-        let runs = std::mem::take(&mut self.runs);
-        let total: usize = runs.iter().map(|r| r.len()).sum();
+    /// Closes the last run and merges them all: one streaming pass over
+    /// the data, the only work left after quiescence.
+    pub(crate) fn finish<F: Fabric>(
+        mut self,
+        fab: &mut F,
+        plain: &mut [W],
+        pairs: &mut Vec<(W, u32)>,
+    ) -> Vec<KmerCount<W>> {
+        self.close(fab, plain, pairs);
+        let total: usize = self.runs.iter().map(Vec::len).sum();
         let wb = (W::BITS / 8) as u64;
         // Merge cost: read every record once through a log(runs)-deep heap
         // and write the output stream.
-        let log_runs = (runs.len().max(2) as f64).log2().ceil() as u64;
-        ctx.charge_ops(total as u64 * (log_runs + 1));
-        ctx.charge_mem(total as u64 * (wb + 4) * 2);
-        kway_merge(runs)
+        let log_runs = (self.runs.len().max(2) as f64).log2().ceil() as u64;
+        fab.charge_ops(total as u64 * (log_runs + 1));
+        fab.charge_mem(total as u64 * (wb + 4) * 2);
+        kway_merge(self.runs)
     }
 }
 
-/// Heap-based k-way merge of sorted count runs, summing equal k-mers.
+/// Merges sorted count runs, summing equal k-mers: `std`'s stable sort
+/// merges the concatenation's ascending runs in `O(n log runs)`.
 fn kway_merge<W: KmerWord>(runs: Vec<Vec<KmerCount<W>>>) -> Vec<KmerCount<W>> {
-    let total: usize = runs.iter().map(|r| r.len()).sum();
-    let mut out: Vec<KmerCount<W>> = Vec::with_capacity(total);
-    let mut heads: BinaryHeap<Reverse<(W, usize)>> = BinaryHeap::new();
-    let mut cursors: Vec<std::iter::Peekable<std::vec::IntoIter<KmerCount<W>>>> =
-        runs.into_iter().map(|r| r.into_iter().peekable()).collect();
-    for (i, c) in cursors.iter_mut().enumerate() {
-        if let Some(kc) = c.peek() {
-            heads.push(Reverse((kc.kmer, i)));
+    let mut out = runs.concat();
+    out.sort_by_key(|c| c.kmer);
+    out.dedup_by(|next, kept| {
+        let same = next.kmer == kept.kmer;
+        if same {
+            kept.count = kept.count.saturating_add(next.count);
         }
-    }
-    while let Some(Reverse((kmer, i))) = heads.pop() {
-        let kc = cursors[i].next().expect("peeked entry exists");
-        debug_assert_eq!(kc.kmer, kmer);
-        match out.last_mut() {
-            Some(last) if last.kmer == kmer => last.count = last.count.saturating_add(kc.count),
-            _ => out.push(kc),
-        }
-        if let Some(next) = cursors[i].peek() {
-            heads.push(Reverse((next.kmer, i)));
-        }
-    }
+        same
+    });
     out
-}
-
-type Sink<W> = Rc<RefCell<Vec<Option<Vec<KmerCount<W>>>>>>;
-
-enum St {
-    Parse,
-    Drain,
-    Finalize,
-    Done,
-}
-
-/// The phase-overlapped per-PE program: like [`crate::DakcPeProgram`] but
-/// deliveries go straight into a [`SortedRunStore`].
-struct OverlapPeProgram<W: KmerWord> {
-    cfg: DakcConfig,
-    reads: Arc<ReadSet>,
-    range: std::ops::Range<usize>,
-    cursor: usize,
-    agg: Option<Aggregator<W>>,
-    store: Option<SortedRunStore<W>>,
-    /// The k-mers of the read being parsed (scratch, reused).
-    words: Vec<W>,
-    sink: Sink<W>,
-    st: St,
-}
-
-impl<W: KmerWord + RadixKey> OverlapPeProgram<W> {
-    /// Drains arrived packets into the run store. Returns records
-    /// processed.
-    fn absorb(&mut self, ctx: &mut Ctx<'_>) -> u64 {
-        let agg = self.agg.as_mut().expect("created");
-        let mut tmp = ReceiveStore::<W>::default();
-        let processed = agg.progress(ctx, &mut tmp);
-        let store = self.store.as_mut().expect("created");
-        for w in tmp.plain {
-            store.push_plain(ctx, w);
-        }
-        for (w, c) in tmp.pairs {
-            store.push_pair(ctx, w, c);
-        }
-        processed
-    }
-}
-
-impl<W: KmerWord + RadixKey> Program for OverlapPeProgram<W> {
-    fn step(&mut self, ctx: &mut Ctx<'_>) -> Step {
-        match self.st {
-            St::Parse => {
-                if self.agg.is_none() {
-                    ctx.set_phase(0);
-                    self.agg = Some(Aggregator::new(self.cfg.clone(), ctx));
-                    // Runs small enough to sort cache-resident, but small
-                    // enough in absolute terms that runs actually close
-                    // *during* phase 1 — that closing is the overlap.
-                    let share = ctx.machine().cache_bytes / ctx.machine().pes_per_node;
-                    let threshold = (share / (2 * (W::BITS as usize / 8))).clamp(1024, 4096);
-                    self.store = Some(SortedRunStore::new(threshold));
-                    return Step::Yield;
-                }
-                // Parse a batch.
-                let end = (self.cursor + self.cfg.batch_reads).min(self.range.end);
-                let mut kmers = 0u64;
-                let mut bases = 0u64;
-                for i in self.cursor..end {
-                    let read = self.reads.get(i);
-                    bases += read.len() as u64;
-                    self.words.clear();
-                    extract_into::<W>(read, self.cfg.k, self.cfg.canonical, |w| self.words.push(w));
-                    kmers += self.words.len() as u64;
-                    self.agg.as_mut().expect("created").async_add_batch(ctx, &self.words);
-                }
-                self.cursor = end;
-                costs::charge_parse(ctx, kmers);
-                costs::charge_parse_traffic(ctx, bases, kmers, (W::BITS / 8) as u64);
-                self.absorb(ctx);
-                if self.cursor == self.range.end {
-                    self.agg.as_mut().expect("created").flush(ctx);
-                    self.st = St::Drain;
-                    Step::Barrier
-                } else {
-                    Step::Yield
-                }
-            }
-            St::Drain => {
-                let processed = self.absorb(ctx);
-                if processed > 0 || ctx.has_ready() {
-                    Step::Barrier
-                } else {
-                    self.st = St::Finalize;
-                    Step::Yield
-                }
-            }
-            St::Finalize => {
-                ctx.set_phase(1);
-                let counts = self.store.take().expect("created").finalize(ctx);
-                self.agg.as_mut().expect("created").release(ctx);
-                self.sink.borrow_mut()[ctx.pe()] = Some(counts);
-                self.st = St::Done;
-                Step::Done
-            }
-            St::Done => Step::Done,
-        }
-    }
 }
 
 /// Result of a phase-overlapped run.
@@ -264,40 +137,22 @@ pub struct OverlapRun<W> {
     pub report: SimReport,
 }
 
-/// Runs phase-overlapped DAKC on the virtual cluster.
+/// Runs phase-overlapped DAKC on the virtual cluster: the stock rank
+/// program, every PE receiving into a compacting store.
 pub fn count_kmers_sim_overlap<W: KmerWord + RadixKey>(
     reads: &ReadSet,
     cfg: &DakcConfig,
     machine: &MachineConfig,
 ) -> Result<OverlapRun<W>, SimError> {
-    cfg.validate::<W>();
-    let p = machine.num_pes();
-    let reads = Arc::new(reads.clone());
-    let sink: Sink<W> = Rc::new(RefCell::new(vec![None; p]));
-    let programs: Vec<Box<dyn Program>> = (0..p)
-        .map(|pe| {
-            let range = reads.pe_range(pe, p);
-            Box::new(OverlapPeProgram::<W> {
-                cfg: cfg.clone(),
-                reads: Arc::clone(&reads),
-                cursor: range.start,
-                range,
-                agg: None,
-                store: None,
-                words: Vec::new(),
-                sink: sink.clone(),
-                st: St::Parse,
-            }) as Box<dyn Program>
-        })
-        .collect();
-    let report = Simulator::new(machine.clone()).run(programs)?;
-    let per_pe: Vec<Vec<KmerCount<W>>> = Rc::try_unwrap(sink)
-        .expect("sole owner")
-        .into_inner()
-        .into_iter()
-        .map(|o| o.expect("published"))
-        .collect();
-    let counts = merge_disjoint_runs(per_pe);
+    // Runs small enough to sort cache-resident, but small enough in
+    // absolute terms that runs actually close *during* phase 1 — that
+    // closing is the overlap.
+    let share = machine.cache_bytes / machine.pes_per_node;
+    let threshold = (share / (2 * (W::BITS as usize / 8))).clamp(1024, 4096);
+    let store = || ReceiveStore::compacting(cfg.k, threshold);
+    let (report, per_pe) =
+        crate::engine::run_programs(reads, cfg, machine, &mut TraceSink::Off, store)?;
+    let counts = merge_disjoint_runs(per_pe.into_iter().map(|o| o.counts).collect());
     Ok(OverlapRun { counts, report })
 }
 
@@ -305,6 +160,7 @@ pub fn count_kmers_sim_overlap<W: KmerWord + RadixKey>(
 mod tests {
     use super::*;
     use dakc_kmer::CanonicalMode;
+    use dakc_sim::{Ctx, Program, Simulator, Step};
 
     fn reads(n: usize, seed: u64) -> ReadSet {
         use dakc_io::{generate_genome, simulate_reads, GenomeSpec, ReadSimConfig};
@@ -396,23 +252,29 @@ mod tests {
 
     #[test]
     fn run_store_flushes_at_threshold() {
-        // Drive the store directly inside a one-PE simulation.
+        // Drive a compacting store directly inside a one-PE simulation.
         struct Probe;
         impl Program for Probe {
             fn step(&mut self, ctx: &mut Ctx<'_>) -> Step {
-                let mut store = SortedRunStore::<u64>::new(4);
-                for w in [5u64, 1, 5, 2, 9, 9, 9, 1] {
-                    store.push_plain(ctx, w);
-                }
-                assert_eq!(store.run_count(), 2);
-                let counts = store.finalize(ctx);
+                let mut store = ReceiveStore::<u64>::compacting(8, 4);
+                store.plain.extend([5u64, 1, 5]);
+                store.settle(ctx);
+                assert_eq!(store.plain.len(), 3, "three records stay pending");
+                // Words count before pairs: `2` closes the run, `9` opens
+                // the next one and the pair joins it.
+                store.plain.extend([2u64, 9]);
+                store.pairs.push((9, 3));
+                store.settle(ctx);
+                assert_eq!((store.plain.clone(), store.pairs.clone()), (vec![9], vec![(9, 3)]));
+                assert_eq!((store.records(), store.total_occurrences()), (6, 8));
+                let counts = store.count(ctx);
                 assert_eq!(
                     counts,
                     vec![
-                        KmerCount::new(1u64, 2),
+                        KmerCount::new(1u64, 1),
                         KmerCount::new(2, 1),
                         KmerCount::new(5, 2),
-                        KmerCount::new(9, 3),
+                        KmerCount::new(9, 4),
                     ]
                 );
                 Step::Done

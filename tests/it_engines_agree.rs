@@ -2,13 +2,17 @@
 //! serial reference, the threaded engines, the simulated DAKC, and every
 //! BSP baseline — must produce the identical histogram on identical input.
 
-use dakc::{count_kmers_loopback, count_kmers_sim, count_kmers_threaded, DakcConfig};
+use dakc::{
+    count_kmers_loopback, count_kmers_sim, count_kmers_sim_overlap, count_kmers_threaded, run_rank,
+    DakcConfig,
+};
 use dakc_baselines::{
     count_kmers_bsp_sim, count_kmers_bsp_threaded, count_kmers_kmc3, count_kmers_serial,
     BspConfig, Kmc3Config, SortBackend,
 };
 use dakc_io::{generate_genome, simulate_reads, GenomeSpec, ReadSet, ReadSimConfig, RepeatProfile};
 use dakc_kmer::{kmers_of_read, CanonicalMode, KmerCount, KmerWord};
+use dakc_net::TcpTransport;
 use dakc_sim::MachineConfig;
 use dakc_sort::RadixKey;
 
@@ -214,4 +218,84 @@ fn reads_with_ambiguity_codes_agree() {
     assert_eq!(dakc.counts, want);
     let kmc3 = count_kmers_kmc3::<u64>(&reads, &Kmc3Config::defaults(k, 2));
     assert_eq!(kmc3.counts, want);
+}
+
+/// Runs the distributed engine over an in-process TCP mesh: one thread per
+/// rank, rendezvous through a unique temp dir, real sockets on localhost.
+fn count_kmers_tcp<W: KmerWord + RadixKey + Send>(
+    reads: &ReadSet,
+    cfg: &DakcConfig,
+    ranks: usize,
+    tag: &str,
+) -> Vec<KmerCount<W>> {
+    let dir = std::env::temp_dir().join(format!("dakc-it-agree-{}-{tag}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let counts = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..ranks)
+            .map(|rank| {
+                let dir = dir.clone();
+                s.spawn(move || {
+                    let t = TcpTransport::rendezvous(rank, ranks, &dir, cfg.c0_bytes).unwrap();
+                    run_rank::<W, _>(reads, cfg, t).unwrap()
+                })
+            })
+            .collect();
+        let runs: Vec<_> = handles.into_iter().map(|h| h.join().expect("rank thread")).collect();
+        runs.into_iter().flatten().next().expect("rank 0 result").counts
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+    counts
+}
+
+/// One engine × mode row set at one `k`: the simulator, the phase-
+/// overlapped simulator, loopback and TCP, each at P = 3, in words,
+/// words + L3 and spans modes, forward and canonical, against the serial
+/// count.
+fn engine_mode_matrix<W: KmerWord + RadixKey + Send + std::fmt::Debug>(reads: &ReadSet, k: usize) {
+    let machine = MachineConfig::test_machine(3, 1);
+    for canonical in [CanonicalMode::Forward, CanonicalMode::Canonical] {
+        let want = count_kmers_serial::<W>(reads, k, canonical, false).counts;
+        let mut words = DakcConfig::scaled_defaults(k);
+        words.canonical = canonical;
+        let modes = [
+            ("words", words.clone()),
+            ("words+l3", words.clone().with_l3()),
+            ("spans", words.clone().with_superkmer(k.min(7))),
+        ];
+        let mut overlap_remote_bytes = Vec::new();
+        for (mode, cfg) in &modes {
+            let at = format!("k={k} {canonical:?} {mode}");
+            let sim = count_kmers_sim::<W>(reads, cfg, &machine).unwrap();
+            assert_eq!(sim.counts, want, "sim {at}");
+            let overlap = count_kmers_sim_overlap::<W>(reads, cfg, &machine).unwrap();
+            assert_eq!(overlap.counts, want, "sim-overlap {at}");
+            overlap_remote_bytes.push(overlap.report.remote_bytes());
+            let loopback = count_kmers_loopback::<W>(reads, cfg, 3).unwrap();
+            assert_eq!(loopback.counts, want, "loopback {at}");
+            let tag = format!("{k}-{canonical:?}-{mode}");
+            assert_eq!(count_kmers_tcp::<W>(reads, cfg, 3, &tag), want, "tcp {at}");
+        }
+        // The overlapped engine routes spans when asked to, so they cross
+        // the simulated wire in fewer bytes than the words do.
+        assert!(
+            overlap_remote_bytes[2] < overlap_remote_bytes[0],
+            "k={k} {canonical:?}: overlap spans {} B vs words {} B",
+            overlap_remote_bytes[2],
+            overlap_remote_bytes[0]
+        );
+    }
+}
+
+/// The engine × mode matrix at k = 3 (a 6-bit window, narrower than the
+/// phase-2 bucket digit), 21, 32 (every bit of a `u64`), 33 (straddling
+/// the halves of a `u128`) and 64 (every bit of a `u128`).
+#[test]
+fn engine_mode_matrix_matches_serial() {
+    let reads = workload(7, true);
+    for k in [3, 21, 32] {
+        engine_mode_matrix::<u64>(&reads, k);
+    }
+    for k in [33, 64] {
+        engine_mode_matrix::<u128>(&reads, k);
+    }
 }
